@@ -135,12 +135,7 @@ pub fn dec_adg<G: GraphView>(
         let mut round_base = 0u64;
         for l in (0..levels.num_levels()).rev() {
             let _partition = pgc_obs::span!("dec.partition");
-            // Recurse on the zero-copy partition view: SIM-COL's conflict
-            // scans then touch only intra-partition adjacency (≤ deg_ℓ)
-            // instead of the full host adjacency. Bit-identical to the
-            // slice path (see `color_partition_random_view`).
-            let view = levels.level_view(g, l);
-            let stats = engine.color_partition_random_view(&view, round_base);
+            let stats = engine.color_partition_random(levels.level(l), round_base);
             pgc_obs::counter!("conflicts", stats.retries);
             rounds += stats.rounds;
             conflicts += stats.retries;
@@ -203,8 +198,7 @@ pub fn dec_adg_itr<G: GraphView>(g: &G, params: &Params) -> ColoringRun {
         let mut conflicts = 0u64;
         for l in (0..levels.num_levels()).rev() {
             let _partition = pgc_obs::span!("dec.partition");
-            let view = levels.level_view(g, l);
-            let stats = engine.color_partition_first_fit_view(&view, &priority);
+            let stats = engine.color_partition_first_fit(levels.level(l), &priority);
             pgc_obs::counter!("conflicts", stats.retries);
             rounds += stats.rounds;
             conflicts += stats.retries;

@@ -14,8 +14,14 @@
 //! [`AtomicBitmap`], each vertex owning the bit range
 //! `bv_offset[v] .. bv_offset[v] + palette[v]` — this is the paper's
 //! "`⌈(1+µ)kd⌉+1` bits per vertex" sizing (§IV-B) realized without
-//! per-vertex allocations, and it makes all three phases freely parallel
-//! (bits are only ever set, never cleared).
+//! per-vertex allocations (bits are only ever set, never cleared).
+//!
+//! `B_v` is filled **push-style**: a vertex that fixes color `c` inserts
+//! `c` into `B_u` of every still-uncolored neighbor `u`. So at any round
+//! boundary `B_v` holds exactly the fixed colors of `v`'s neighbors, in its
+//! own partition or above — what Alg. 4 lines 16–18 and Alg. 5 part 3 pull
+//! in — while each adjacency is walked for it only once over the whole run.
+//! Conflict detection and commit share one adjacency scan per round.
 //!
 //! The engine also hosts the **first-fit** variant (smallest color not in
 //! `B_v`, asymmetric conflict resolution) that §IV-C plugs into DEC-ADG to
@@ -23,7 +29,7 @@
 
 use crate::colorer::{Colorer, Instrumentation};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
-use pgc_graph::{GraphView, InducedView};
+use pgc_graph::GraphView;
 use pgc_primitives::bitmap::AtomicBitmap;
 use pgc_primitives::rng::uniform_at;
 use rayon::prelude::*;
@@ -53,8 +59,8 @@ pub struct SimColEngine<'a, G: GraphView> {
     pub g: &'a G,
     /// Fixed (committed) colors; `UNCOLORED` until a vertex is done.
     pub colors: &'a [AtomicU32],
-    /// Per-round tentative draws; `UNCOLORED` outside phase windows, which
-    /// is also how phase 2 recognizes *active* neighbors.
+    /// Tentative draws; `UNCOLORED` for every vertex outside the active
+    /// set, which is how the conflict scan recognizes *active* neighbors.
     pub tent: &'a [AtomicU32],
     /// Concatenated forbidden-color bitmaps `B_v`.
     pub bv: &'a AtomicBitmap,
@@ -95,286 +101,126 @@ impl<'a, G: GraphView> SimColEngine<'a, G> {
         }
     }
 
-    /// Absorb the fixed colors of all already-colored neighbors of `v` into
-    /// `B_v` (Alg. 4 lines 16–18 before the call, and Alg. 5 part 3 inside
-    /// the round loop — both are the same pull-style scan).
-    fn absorb_fixed_neighbors(&self, v: u32) {
+    /// Fix `v`'s color to `c` and push `c` into `B_u` of every uncolored
+    /// neighbor `u`.
+    fn commit(&self, v: u32, c: u32) {
+        self.colors[v as usize].store(c, AtOrd::Relaxed);
         for u in self.g.neighbors(v) {
-            let c = self.colors[u as usize].load(AtOrd::Relaxed);
-            if c != UNCOLORED {
-                self.bv_insert(v, c);
+            if self.colors[u as usize].load(AtOrd::Relaxed) == UNCOLORED {
+                self.bv_insert(u, c);
             }
         }
+    }
+
+    /// The round loop shared by both draws. `draw(v, round)` picks `v`'s
+    /// tentative color; `lost(v, draw)` decides whether it must retry.
+    ///
+    /// Losses are decided in the same pass that commits the winners. That
+    /// is sound because a winner's push cannot flip a same-round loss:
+    /// first-fit's rule reads only `tent` and `priority`, and a random-draw
+    /// winner has no active neighbor holding its color, so the bit it
+    /// pushes is never the one that neighbor's `bv_contains` reads.
+    /// Losers keep their `tent` (first-fit resumes from it); only winners
+    /// clear theirs, so non-active vertices always read `UNCOLORED`.
+    fn run(
+        &self,
+        members: &[u32],
+        draw: impl Fn(u32, u32) -> u32 + Sync,
+        lost: impl Fn(u32, u32) -> bool + Sync,
+    ) -> SimColStats {
+        let mut active: Vec<u32> = members.to_vec();
+        let mut stats = SimColStats::default();
+        while !active.is_empty() {
+            let round = stats.rounds;
+            stats.rounds += 1;
+            active.par_iter().for_each(|&v| {
+                self.tent[v as usize].store(draw(v, round), AtOrd::Relaxed);
+            });
+            active.par_iter().for_each(|&v| {
+                let d = self.tent[v as usize].load(AtOrd::Relaxed);
+                if !lost(v, d) {
+                    self.commit(v, d);
+                }
+            });
+            let losers: Vec<u32> = active
+                .par_iter()
+                .copied()
+                .filter(|&v| {
+                    let won = self.colors[v as usize].load(AtOrd::Relaxed) != UNCOLORED;
+                    if won {
+                        self.tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
+                    }
+                    !won
+                })
+                .collect();
+            stats.retries += losers.len() as u64;
+            active = losers;
+        }
+        stats
     }
 
     /// Color the vertices of `members` with random draws (Alg. 5).
     ///
     /// `round_base` offsets the RNG stream so successive partitions of a
     /// DEC-ADG run use disjoint randomness. All `members` must currently be
-    /// uncolored and have correct `B_v` contents for *higher* partitions
-    /// (the engine absorbs them itself on entry).
+    /// uncolored, with `B_v` holding the colors their neighbors fixed
+    /// through this engine.
     pub fn color_partition_random(&self, members: &[u32], round_base: u64) -> SimColStats {
-        // Entry absorption (Alg. 4 lines 16–18).
-        members
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        let mut active: Vec<u32> = members.to_vec();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            let round_id = round_base + stats.rounds as u64;
-            stats.rounds += 1;
-
+        self.run(
+            members,
             // Part 1: every active vertex draws uniformly from its palette.
-            active.par_iter().for_each(|&v| {
-                let draw = uniform_at(self.seed, round_id, v as u64, self.palette[v as usize]);
-                self.tent[v as usize].store(draw, AtOrd::Relaxed);
-            });
-
+            |v, round| {
+                let round_id = round_base + round as u64;
+                uniform_at(self.seed, round_id, v as u64, self.palette[v as usize])
+            },
             // Part 2: a draw dies if an active neighbor drew the same color
             // (symmetric — both retry) or if it is forbidden by B_v.
             // Inactive neighbors have tent == UNCOLORED which never equals
             // a draw (draws are < palette ≤ n).
-            let losers: Vec<u32> = active
-                .par_iter()
-                .copied()
-                .filter(|&v| {
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    self.bv_contains(v, draw)
-                        || self
-                            .g
-                            .neighbors(v)
-                            .any(|u| self.tent[u as usize].load(AtOrd::Relaxed) == draw)
-                })
-                .collect();
-
-            // Commit survivors, then clear their tentative marks.
-            active.par_iter().for_each(|&v| {
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                let lost = self.bv_contains(v, draw)
+            |v, d| {
+                self.bv_contains(v, d)
                     || self
                         .g
                         .neighbors(v)
-                        .any(|u| self.tent[u as usize].load(AtOrd::Relaxed) == draw);
-                if !lost {
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&v| {
-                self.tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-
-            // Part 3: losers absorb the freshly fixed neighbor colors.
-            losers
-                .par_iter()
-                .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
-    }
-
-    /// [`color_partition_random`](Self::color_partition_random) driven
-    /// through a zero-copy [`InducedView`] of the partition — the Alg. 4
-    /// line 13 recursion on `R(ℓ)` without materializing `G[R(ℓ)]`.
-    ///
-    /// The payoff is in phase 2: conflict scans walk only intra-partition
-    /// adjacency (bounded by `deg_ℓ(v)`) instead of the full host
-    /// adjacency. The result is **bit-identical** to the slice path: draws
-    /// are keyed on original ids, and any neighbor outside the partition
-    /// has `tent == UNCOLORED` (which no draw can equal, palettes being
-    /// ≤ n), so dropping non-members from the scan cannot change a round's
-    /// loser set.
-    pub fn color_partition_random_view(
-        &self,
-        view: &InducedView<'_, G>,
-        round_base: u64,
-    ) -> SimColStats {
-        debug_assert!(
-            std::ptr::eq(view.base(), self.g),
-            "view must wrap the engine's host graph"
-        );
-        // Entry absorption still scans the *full* adjacency: the fixed
-        // colors live in higher partitions, outside the view.
-        view.members()
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        // Active vertices tracked as view-local ids.
-        let mut active: Vec<u32> = (0..view.n() as u32).collect();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            let round_id = round_base + stats.rounds as u64;
-            stats.rounds += 1;
-
-            active.par_iter().for_each(|&l| {
-                let v = view.original_id(l);
-                let draw = uniform_at(self.seed, round_id, v as u64, self.palette[v as usize]);
-                self.tent[v as usize].store(draw, AtOrd::Relaxed);
-            });
-
-            let lost = |l: u32| {
-                let v = view.original_id(l);
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                self.bv_contains(v, draw)
-                    || view.neighbors(l).any(|ul| {
-                        self.tent[view.original_id(ul) as usize].load(AtOrd::Relaxed) == draw
-                    })
-            };
-            let losers: Vec<u32> = active.par_iter().copied().filter(|&l| lost(l)).collect();
-
-            active.par_iter().for_each(|&l| {
-                if !lost(l) {
-                    let v = view.original_id(l);
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&l| {
-                self.tent[view.original_id(l) as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-
-            losers
-                .par_iter()
-                .for_each(|&l| self.absorb_fixed_neighbors(view.original_id(l)));
-
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
+                        .any(|u| self.tent[u as usize].load(AtOrd::Relaxed) == d)
+            },
+        )
     }
 
     /// First-fit variant (§IV-C): draws are the smallest color not in
     /// `B_v`; conflicts are resolved asymmetrically — the higher-`priority`
-    /// endpoint commits, the loser records the winner's color and retries.
+    /// endpoint commits (pushing its color into the loser's `B_v`) and the
+    /// loser retries.
     pub fn color_partition_first_fit(&self, members: &[u32], priority: &[u64]) -> SimColStats {
-        members
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        let mut active: Vec<u32> = members.to_vec();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            stats.rounds += 1;
-
-            // Part 1: deterministic smallest free color w.r.t. B_v.
-            active.par_iter().for_each(|&v| {
+        self.run(
+            members,
+            // Part 1: deterministic smallest free color w.r.t. B_v. A loser
+            // resumes at its previous draw: B_v only grows, so every bit
+            // below it is still set. (Not draw + 1 — the neighbor it lost
+            // to may have lost too, leaving that color free.)
+            |v, _| {
                 let base = self.bv_offset[v as usize] as usize;
-                let pal = self.palette[v as usize] as usize;
-                let mut c = 0usize;
-                while c < pal && self.bv.get(base + c) {
+                let pal = self.palette[v as usize];
+                let mut c = match self.tent[v as usize].load(AtOrd::Relaxed) {
+                    UNCOLORED => 0,
+                    prev => prev,
+                };
+                while c < pal && self.bv.get(base + c as usize) {
                     c += 1;
                 }
                 debug_assert!(c < pal, "palette must contain a free color");
-                self.tent[v as usize].store(c as u32, AtOrd::Relaxed);
-            });
-
+                c
+            },
             // Part 2: asymmetric conflicts — priority decides the winner,
             // so progress is guaranteed even though choices are
             // deterministic (the symmetric rule would livelock here).
-            let losers: Vec<u32> = active
-                .par_iter()
-                .copied()
-                .filter(|&v| {
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    let pv = priority[v as usize];
-                    self.g.neighbors(v).any(|u| {
-                        self.tent[u as usize].load(AtOrd::Relaxed) == draw
-                            && priority[u as usize] > pv
-                    })
-                })
-                .collect();
-
-            active.par_iter().for_each(|&v| {
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
+            |v, d| {
                 let pv = priority[v as usize];
-                let lost = self.g.neighbors(v).any(|u| {
-                    self.tent[u as usize].load(AtOrd::Relaxed) == draw && priority[u as usize] > pv
-                });
-                if !lost {
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&v| {
-                self.tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-            losers
-                .par_iter()
-                .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
-    }
-
-    /// [`color_partition_first_fit`](Self::color_partition_first_fit)
-    /// through a zero-copy [`InducedView`] of the partition, with the same
-    /// bit-identity argument as
-    /// [`color_partition_random_view`](Self::color_partition_random_view):
-    /// non-members always carry `tent == UNCOLORED`, so the asymmetric
-    /// conflict scan over intra-partition neighbors resolves every round
-    /// exactly as the full-adjacency scan did.
-    pub fn color_partition_first_fit_view(
-        &self,
-        view: &InducedView<'_, G>,
-        priority: &[u64],
-    ) -> SimColStats {
-        debug_assert!(
-            std::ptr::eq(view.base(), self.g),
-            "view must wrap the engine's host graph"
-        );
-        view.members()
-            .par_iter()
-            .for_each(|&v| self.absorb_fixed_neighbors(v));
-
-        let mut active: Vec<u32> = (0..view.n() as u32).collect();
-        let mut stats = SimColStats::default();
-        while !active.is_empty() {
-            stats.rounds += 1;
-
-            active.par_iter().for_each(|&l| {
-                let v = view.original_id(l);
-                let base = self.bv_offset[v as usize] as usize;
-                let pal = self.palette[v as usize] as usize;
-                let mut c = 0usize;
-                while c < pal && self.bv.get(base + c) {
-                    c += 1;
-                }
-                debug_assert!(c < pal, "palette must contain a free color");
-                self.tent[v as usize].store(c as u32, AtOrd::Relaxed);
-            });
-
-            let lost = |l: u32| {
-                let v = view.original_id(l);
-                let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                let pv = priority[v as usize];
-                view.neighbors(l).any(|ul| {
-                    let u = view.original_id(ul);
-                    self.tent[u as usize].load(AtOrd::Relaxed) == draw && priority[u as usize] > pv
+                self.g.neighbors(v).any(|u| {
+                    self.tent[u as usize].load(AtOrd::Relaxed) == d && priority[u as usize] > pv
                 })
-            };
-            let losers: Vec<u32> = active.par_iter().copied().filter(|&l| lost(l)).collect();
-
-            active.par_iter().for_each(|&l| {
-                if !lost(l) {
-                    let v = view.original_id(l);
-                    let draw = self.tent[v as usize].load(AtOrd::Relaxed);
-                    self.colors[v as usize].store(draw, AtOrd::Relaxed);
-                }
-            });
-            active.par_iter().for_each(|&l| {
-                self.tent[view.original_id(l) as usize].store(UNCOLORED, AtOrd::Relaxed);
-            });
-            losers
-                .par_iter()
-                .for_each(|&l| self.absorb_fixed_neighbors(view.original_id(l)));
-
-            stats.retries += losers.len() as u64;
-            active = losers;
-        }
-        stats
+            },
+        )
     }
 }
 
@@ -501,72 +347,172 @@ mod tests {
         assert_eq!(off, vec![0, 1, 3, 8]);
     }
 
+    /// The pull-style engine the push-on-commit loop replaced, kept as an
+    /// oracle: members absorb their fixed neighbors' colors on entry, each
+    /// round filters the losers, commits the rest, clears every draw, and
+    /// the losers re-absorb their fixed neighbors before redrawing.
+    /// First-fit draws scan `B_v` from 0.
+    fn pull_reference<G: GraphView>(
+        e: &SimColEngine<'_, G>,
+        members: &[u32],
+        round_base: u64,
+        priority: Option<&[u64]>,
+    ) -> SimColStats {
+        let absorb = |v: u32| {
+            for u in e.g.neighbors(v) {
+                let c = e.colors[u as usize].load(AtOrd::Relaxed);
+                if c != UNCOLORED {
+                    e.bv_insert(v, c);
+                }
+            }
+        };
+        let lost = |v: u32| {
+            let d = e.tent[v as usize].load(AtOrd::Relaxed);
+            let clash = |u: u32| e.tent[u as usize].load(AtOrd::Relaxed) == d;
+            match priority {
+                Some(p) => {
+                    e.g.neighbors(v)
+                        .any(|u| clash(u) && p[u as usize] > p[v as usize])
+                }
+                None => e.bv_contains(v, d) || e.g.neighbors(v).any(clash),
+            }
+        };
+        members.iter().for_each(|&v| absorb(v));
+        let mut active = members.to_vec();
+        let mut stats = SimColStats::default();
+        while !active.is_empty() {
+            let round_id = round_base + stats.rounds as u64;
+            stats.rounds += 1;
+            for &v in &active {
+                let d = match priority {
+                    Some(_) => (0..).find(|&c| !e.bv_contains(v, c)).unwrap(),
+                    None => uniform_at(e.seed, round_id, v as u64, e.palette[v as usize]),
+                };
+                e.tent[v as usize].store(d, AtOrd::Relaxed);
+            }
+            let losers: Vec<u32> = active.iter().copied().filter(|&v| lost(v)).collect();
+            for &v in &active {
+                if !lost(v) {
+                    let d = e.tent[v as usize].load(AtOrd::Relaxed);
+                    e.colors[v as usize].store(d, AtOrd::Relaxed);
+                }
+            }
+            for &v in &active {
+                e.tent[v as usize].store(UNCOLORED, AtOrd::Relaxed);
+            }
+            losers.iter().for_each(|&v| absorb(v));
+            stats.retries += losers.len() as u64;
+            active = losers;
+        }
+        stats
+    }
+
+    /// Color `groups` in sequence (like DEC-ADG's partitions) on a fresh
+    /// engine, with the push-on-commit engine or the pull reference.
+    fn color_groups<G: GraphView>(
+        g: &G,
+        palette: &[u32],
+        groups: &[Vec<u32>],
+        priority: Option<&[u64]>,
+        reference: bool,
+    ) -> (Vec<u32>, SimColStats) {
+        let n = g.n();
+        let mut bv_offset = vec![0u64];
+        for &p in palette {
+            bv_offset.push(bv_offset.last().unwrap() + p as u64);
+        }
+        let bv = AtomicBitmap::new(*bv_offset.last().unwrap() as usize);
+        let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
+        let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
+        let engine = SimColEngine {
+            g,
+            colors: &colors,
+            tent: &tent,
+            bv: &bv,
+            bv_offset: &bv_offset,
+            palette,
+            seed: 0xFACE,
+        };
+        let mut total = SimColStats::default();
+        for members in groups {
+            let round_base = total.rounds as u64;
+            let stats = match (reference, priority) {
+                (true, _) => pull_reference(&engine, members, round_base, priority),
+                (false, Some(p)) => engine.color_partition_first_fit(members, p),
+                (false, None) => engine.color_partition_random(members, round_base),
+            };
+            total.rounds += stats.rounds;
+            total.retries += stats.retries;
+        }
+        (colors.into_iter().map(|c| c.into_inner()).collect(), total)
+    }
+
     #[test]
-    fn view_partition_coloring_is_bit_identical_to_slice_path() {
-        // Regression pin for the DEC-ADG `level_view` recursion: coloring a
-        // sequence of partitions through `InducedView`s must reproduce the
-        // legacy full-adjacency slice path bit for bit — same colors, same
-        // rounds, same retries — for both the random and first-fit engines.
+    fn push_on_commit_matches_pull_reference() {
+        // Pushing fixed colors into B_u on commit, fusing loss detection
+        // with the commit, and resuming first-fit at the previous draw must
+        // reproduce the pull-style engine bit for bit — same colors, rounds
+        // and retries — for both draws, over multi-partition runs.
         use pgc_primitives::random_permutation;
-        let g = generate(
-            &GraphSpec::RingOfCliques {
+        let specs = [
+            GraphSpec::ErdosRenyi { n: 400, m: 2400 },
+            GraphSpec::BarabasiAlbert { n: 400, attach: 6 },
+            GraphSpec::RingOfCliques {
                 cliques: 10,
                 clique_size: 12,
             },
-            4,
-        );
-        let n = g.n();
-        let deg = g.degree_array();
-        let (palette, bv_offset) = palette_layout(&deg, 0.4);
-        let groups: Vec<Vec<u32>> = (0..3)
-            .map(|r| (0..n as u32).filter(|v| v % 3 == r).collect())
-            .collect();
-        let priority: Vec<u64> = random_permutation(n, 77)
-            .into_iter()
-            .map(u64::from)
-            .collect();
-
-        let run = |use_view: bool, first_fit: bool| -> (Vec<u32>, SimColStats) {
-            let bv = AtomicBitmap::new(*bv_offset.last().unwrap() as usize);
-            let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-            let tent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
-            let engine = SimColEngine {
-                g: &g,
-                colors: &colors,
-                tent: &tent,
-                bv: &bv,
-                bv_offset: &bv_offset,
-                palette: &palette,
-                seed: 0xFACE,
-            };
-            let mut total = SimColStats::default();
-            let mut round_base = 0u64;
-            for members in &groups {
-                let stats = match (use_view, first_fit) {
-                    (false, false) => engine.color_partition_random(members, round_base),
-                    (true, false) => {
-                        let view = pgc_graph::InducedView::new(&g, members);
-                        engine.color_partition_random_view(&view, round_base)
-                    }
-                    (false, true) => engine.color_partition_first_fit(members, &priority),
-                    (true, true) => {
-                        let view = pgc_graph::InducedView::new(&g, members);
-                        engine.color_partition_first_fit_view(&view, &priority)
-                    }
-                };
-                total.rounds += stats.rounds;
-                total.retries += stats.retries;
-                round_base += stats.rounds as u64;
+            GraphSpec::Complete { n: 30 },
+        ];
+        for (i, spec) in specs.iter().enumerate() {
+            for seed in 0..3u64 {
+                let g = generate(spec, 10 * i as u64 + seed);
+                let n = g.n();
+                let deg = g.degree_array();
+                let k = 1 + seed as usize;
+                let perm = random_permutation(n, seed ^ 0x5EED);
+                let groups: Vec<Vec<u32>> = (0..k)
+                    .map(|r| {
+                        (0..n as u32)
+                            .filter(|&v| perm[v as usize] as usize % k == r)
+                            .collect()
+                    })
+                    .collect();
+                let priority: Vec<u64> = random_permutation(n, seed + 77)
+                    .into_iter()
+                    .map(u64::from)
+                    .collect();
+                let (random_pal, _) = palette_layout(&deg, 0.3 + 0.4 * seed as f64);
+                let first_fit_pal: Vec<u32> = deg.iter().map(|&d| d + 1).collect();
+                for (pal, prio) in [(&random_pal, None), (&first_fit_pal, Some(&priority[..]))] {
+                    let push = color_groups(&g, pal, &groups, prio, false);
+                    let pull = color_groups(&g, pal, &groups, prio, true);
+                    assert_eq!(
+                        push,
+                        pull,
+                        "{spec:?} seed {seed} first_fit={}",
+                        prio.is_some()
+                    );
+                    assert_proper(&g, &push.0);
+                }
             }
-            (colors.into_iter().map(|c| c.into_inner()).collect(), total)
-        };
-
-        for first_fit in [false, true] {
-            let (slice_colors, slice_stats) = run(false, first_fit);
-            let (view_colors, view_stats) = run(true, first_fit);
-            assert_eq!(slice_colors, view_colors, "first_fit={first_fit}");
-            assert_eq!(slice_stats, view_stats, "first_fit={first_fit}");
         }
+    }
+
+    #[test]
+    fn first_fit_resumes_at_previous_draw() {
+        // Path 0-1-2 with priorities 2 > 1 > 0: round 1 all draw 0, vertex
+        // 2 wins and 1 loses to it, while 0 loses to 1 — which itself
+        // lost. Color 0 is then still free for vertex 0, so resuming at
+        // draw + 1 would wrongly skip it.
+        let g = generate(&GraphSpec::Path { n: 3 }, 0);
+        let priority = [0u64, 1, 2];
+        let palette = [3u32; 3];
+        let groups = [vec![0, 1, 2]];
+        let push = color_groups(&g, &palette, &groups, Some(&priority), false);
+        let pull = color_groups(&g, &palette, &groups, Some(&priority), true);
+        assert_eq!(push.0, vec![0, 1, 0]);
+        assert_eq!(push, pull);
+        assert_eq!(push.1.retries, 2);
     }
 
     #[test]
