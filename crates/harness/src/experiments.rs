@@ -1208,35 +1208,63 @@ pub fn colorsum(cfg: &ExpConfig) -> Table {
 
 /// Validate the headline guarantees on the whole suite (used by the `check`
 /// subcommand and integration tests): every contribution algorithm must
-/// stay within its proven color bound.
+/// stay within its proven color bound. Like the fig2 sweeps, `cfg.shards`
+/// (precedence) or `cfg.compressed` colors that build of each suite graph
+/// instead of the compact one, against the same bounds; the `repr` column
+/// says which representation a row ran on.
 pub fn check_guarantees(cfg: &ExpConfig) -> Table {
     let params = cfg.params();
-    let mut t = Table::new(&["graph", "d", "algorithm", "colors", "bound", "ok"]);
+    let mut t = Table::new(&["graph", "d", "algorithm", "colors", "bound", "ok", "repr"]);
     for (sg, g, _) in load_suite(cfg) {
         let d = pgc_graph::degeneracy::degeneracy(&g).degeneracy;
-        for algo in [
-            Algorithm::JpSl,
-            Algorithm::JpAdg,
-            Algorithm::JpAdgM,
-            Algorithm::SimCol,
-            Algorithm::DecAdg,
-            Algorithm::DecAdgM,
-            Algorithm::DecAdgItr,
-        ] {
-            let r = run(&g, algo, &params);
-            pgc_core::verify::assert_proper(&g, &r.colors);
-            let bound = quality_bound(algo, d, g.max_degree(), &params);
-            t.row(vec![
-                sg.name.to_string(),
-                d.to_string(),
-                algo.name().to_string(),
-                r.num_colors.to_string(),
-                bound.to_string(),
-                (r.num_colors <= bound).to_string(),
-            ]);
+        match cfg.shards {
+            Some(s) if s > 1 => {
+                let opts = pgc_graph::ShardOptions::resident(s);
+                let (sharded, _) =
+                    pgc_graph::gen::generate_sharded_with_stats(&sg.spec, cfg.seed, &opts);
+                check_rows(
+                    &mut t,
+                    &params,
+                    sg.name,
+                    d,
+                    &sharded,
+                    &format!("sharded-{s}"),
+                );
+            }
+            _ if cfg.compressed => {
+                let compressed = pgc_graph::CompressedCsr::from_compact(&g);
+                check_rows(&mut t, &params, sg.name, d, &compressed, "compressed");
+            }
+            _ => check_rows(&mut t, &params, sg.name, d, &g, "compact"),
         }
     }
     t
+}
+
+/// One [`check_guarantees`] row per contribution algorithm on `g`.
+fn check_rows<G: GraphView>(t: &mut Table, params: &Params, name: &str, d: u32, g: &G, repr: &str) {
+    for algo in [
+        Algorithm::JpSl,
+        Algorithm::JpAdg,
+        Algorithm::JpAdgM,
+        Algorithm::SimCol,
+        Algorithm::DecAdg,
+        Algorithm::DecAdgM,
+        Algorithm::DecAdgItr,
+    ] {
+        let r = run(g, algo, params);
+        pgc_core::verify::assert_proper(g, &r.colors);
+        let bound = quality_bound(algo, d, g.max_degree(), params);
+        t.row(vec![
+            name.to_string(),
+            d.to_string(),
+            algo.name().to_string(),
+            r.num_colors.to_string(),
+            bound.to_string(),
+            (r.num_colors <= bound).to_string(),
+            repr.to_string(),
+        ]);
+    }
 }
 
 #[cfg(test)]
@@ -1474,6 +1502,37 @@ mod tests {
         let t = check_guarantees(&smoke_cfg());
         for row in &t.rows {
             assert_eq!(row[5], "true", "bound violated: {row:?}");
+            assert_eq!(row[6], "compact", "{row:?}");
+        }
+    }
+
+    #[test]
+    fn check_guarantees_colors_compressed_and_sharded_builds() {
+        let compact = check_guarantees(&smoke_cfg());
+        for (cfg, repr) in [
+            (
+                ExpConfig {
+                    compressed: true,
+                    ..smoke_cfg()
+                },
+                "compressed",
+            ),
+            (
+                ExpConfig {
+                    shards: Some(4),
+                    ..smoke_cfg()
+                },
+                "sharded-4",
+            ),
+        ] {
+            let t = check_guarantees(&cfg);
+            assert_eq!(t.rows.len(), compact.rows.len());
+            for (row, base) in t.rows.iter().zip(&compact.rows) {
+                assert_eq!(row[5], "true", "bound violated: {row:?}");
+                assert_eq!(row[6], repr, "{row:?}");
+                // Same graph, same bound, same coloring on every build.
+                assert_eq!(row[..6], base[..6], "{row:?} vs {base:?}");
+            }
         }
     }
 

@@ -9,7 +9,10 @@
 //! carrying the *running total* for that `(thread, name)` — so
 //! `pool.steal` / `pool.steal_fail` / `pool.park` and friends render as
 //! monotonic counter tracks in Perfetto instead of a spiky per-delta
-//! scatter. Timestamps are microseconds since session begin.
+//! scatter. Timestamps are microseconds since session begin. The
+//! top-level `"otherData": {"dropped": N}` records how many events the
+//! rings lost to wrap-around ([`Trace::dropped`]), so a short trace says
+//! so in the file itself.
 //!
 //! # Example
 //!
@@ -102,6 +105,10 @@ pub fn trace_json(trace: &Trace) -> String {
     Json::Obj(vec![
         ("traceEvents".into(), Json::Arr(events)),
         ("displayTimeUnit".into(), Json::Str("ms".into())),
+        (
+            "otherData".into(),
+            Json::Obj(vec![("dropped".into(), Json::Num(trace.dropped as f64))]),
+        ),
     ])
     .to_string()
 }
@@ -146,7 +153,7 @@ mod tests {
                 ev(0, EventKind::SpanEnd, "outer", 5_000, 0),
             ],
             threads: vec![(0, "main".into()), (1, "pgc-par-worker".into())],
-            dropped: 0,
+            dropped: 4,
             session_nanos: 10_000,
         }
     }
@@ -195,6 +202,12 @@ mod tests {
             .find(|e| e.get("name").and_then(Json::as_str) == Some("task"))
             .unwrap();
         assert_eq!(task.get("dur").and_then(Json::as_f64), Some(6.0));
+        let dropped = doc.get("otherData").and_then(|o| o.get("dropped"));
+        assert_eq!(
+            dropped.and_then(Json::as_f64),
+            Some(4.0),
+            "ring-wrap losses on file"
+        );
     }
 
     #[test]
