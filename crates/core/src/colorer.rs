@@ -77,8 +77,8 @@ impl Instrumentation {
 
 /// A graph-coloring algorithm behind the uniform interface, generic over
 /// the graph representation: every implementation colors any
-/// [`GraphView`] — the default [`CompactCsr`](pgc_graph::CompactCsr), the
-/// legacy [`CsrGraph`](pgc_graph::CsrGraph), or a zero-copy
+/// [`GraphView`] — the default [`CompactCsr`](pgc_graph::CompactCsr) at
+/// either offset width, or a zero-copy
 /// [`InducedView`](pgc_graph::InducedView) — with bit-identical output for
 /// the same abstract graph.
 ///

@@ -13,16 +13,19 @@
 //! * [`jp_color`] — asynchronous fork–join: completing a vertex spawns its
 //!   released successors as rayon tasks; closest to the paper's execution
 //!   model.
-//! * [`jp_color_levels`] — level-synchronous: colors the current frontier,
-//!   then the released set, round by round. Returns the round count, which
-//!   equals the longest `Gρ` path length + 1 — the measured "depth" used by
-//!   the Table III experiment.
+//! * [`jp_color_levels_sharded`] — level-synchronous: colors the current
+//!   frontier, then the released set, round by round, with each round
+//!   grouped by the shard of a vertex-range partition.
+//!   [`jp_color_levels`] is this engine with a single shard. Returns the
+//!   round count, which equals the number of vertices on the longest `Gρ`
+//!   path — the measured "depth" used by the Table III experiment.
 //!
 //! JP with a fixed ρ is *schedule-deterministic*: each vertex's color is a
 //! function of its predecessors' colors only, so both engines (and any
 //! thread interleaving) produce bit-identical colorings.
 
 use crate::colorer::{Colorer, Instrumentation};
+use crate::schedule::{degree_class, prefetch_dist};
 use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::GraphView;
 use pgc_primitives::{FixedBitmap, JoinCounters};
@@ -90,6 +93,37 @@ pub fn predecessor_counts<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
         .collect()
 }
 
+/// The DAG's sources: vertices with no predecessor, ascending.
+fn sources(counts: &[u32]) -> Vec<u32> {
+    (0..counts.len() as u32)
+        .into_par_iter()
+        .filter(|&v| counts[v as usize] == 0)
+        .collect()
+}
+
+/// The release step of the level loops: join the counter of every
+/// lower-priority neighbor of the finished `level` and return those whose
+/// last predecessor this was, each as `slot(u)`. Level slots carry the
+/// vertex id in their low 32 bits.
+fn release_level<G: GraphView>(
+    g: &G,
+    rho: &[u64],
+    counters: &JoinCounters,
+    level: &[u64],
+    slot: impl Fn(u32) -> u64 + Sync,
+) -> Vec<u64> {
+    level
+        .par_iter()
+        .flat_map_iter(|&k| {
+            let v = k as u32;
+            let rv = rho[v as usize];
+            g.neighbors(v)
+                .filter(move |&u| rho[u as usize] < rv && counters.join(u as usize))
+                .map(&slot)
+        })
+        .collect()
+}
+
 /// `GetColor` (Alg. 3 lines 25–28): smallest color unused among the
 /// predecessors of `v`. The answer is at most `|pred(v)|`, so predecessor
 /// colors beyond the scratch capacity are irrelevant and dropped.
@@ -137,11 +171,7 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
     debug_assert_eq!(counts, &predecessor_counts(g, rho)[..], "bad fused counts");
     let counters = JoinCounters::from_values(counts);
     let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let roots: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
+    let roots = sources(counts);
 
     struct Ctx<'a, G: GraphView> {
         g: &'a G,
@@ -194,64 +224,39 @@ pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) ->
 }
 
 /// Level-synchronous JP. Returns `(colors, rounds)`; `rounds` equals the
-/// number of levels of `Gρ`, i.e. the longest directed path length + 1 —
-/// the quantity bounded by Lemma 7 for ρ = ⟨ρ_ADG, ρ_R⟩.
+/// number of levels of `Gρ`, i.e. the number of vertices on its longest
+/// directed path — the quantity bounded by Lemma 7 for
+/// ρ = ⟨ρ_ADG, ρ_R⟩. This is [`jp_color_levels_sharded`] with one shard.
 pub fn jp_color_levels<G: GraphView>(g: &G, rho: &[u64]) -> (Vec<u32>, u32) {
-    assert_eq!(rho.len(), g.n());
-    let counts = predecessor_counts(g, rho);
-    let counters = JoinCounters::from_values(&counts);
-    let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut frontier: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
-    let mut rounds = 0u32;
-    while !frontier.is_empty() {
-        rounds += 1;
-        let _round = pgc_obs::span!("jp.round");
-        // Color the whole frontier in parallel (its predecessors are all in
-        // earlier levels, so any order within the round gives the same
-        // coloring). The cache-aware schedule sorts the round into degree
-        // buckets / ascending ids and prefetches the adjacency a few slots
-        // ahead of the one being colored.
-        crate::schedule::bucket_by_degree(g, &mut frontier);
-        let round = &frontier[..];
-        (0..round.len()).into_par_iter().for_each_init(
-            || FixedBitmap::new(0),
-            |scratch, i| {
-                crate::schedule::prefetch_ahead(g, round, i);
-                let v = round[i];
-                let c = get_color(g, rho, &colors, v, scratch);
-                colors[v as usize].store(c, AtOrd::Relaxed);
-            },
-        );
-        // Release the next level.
-        let counters_ref = &counters;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let rv = rho[v as usize];
-                g.neighbors(v)
-                    .filter(move |&u| rho[u as usize] < rv && counters_ref.join(u as usize))
-            })
-            .collect();
-    }
-    (colors.into_iter().map(|c| c.into_inner()).collect(), rounds)
+    jp_color_levels_sharded(g, rho, &[0, g.n() as u32])
+}
+
+/// The schedule key of `v` in a level round: (shard, degree class, id)
+/// packed into one integer, so sorting a round's keys once lays it out as
+/// contiguous shard slices, each in [`crate::schedule`]'s degree-bucketed
+/// order. With one shard this is `bucket_by_degree`'s key. The shard gets
+/// the top 26 bits; past 2²⁶ shards its high bits drop, which only
+/// reorders the round, since keys order the schedule, never the colors.
+#[inline]
+fn round_key<G: GraphView>(g: &G, bounds: &[u32], v: u32) -> u64 {
+    let shard = bounds[1..].partition_point(|&b| b <= v) as u64;
+    (shard << 38) | ((degree_class(g.degree(v)) as u64) << 32) | v as u64
 }
 
 /// Shard-parallel level-synchronous JP over a vertex-range sharding
-/// (`bounds` as produced by `pgc_graph::ShardedCsr::boundaries`): each
-/// round is partitioned by owning shard and every shard colors its
-/// sub-round independently with its own degree-bucketed schedule
-/// ([`crate::schedule`]). A round's frontier is an independent set of
-/// `Gρ`, so shards never read each other's in-round colors; the fork–join
-/// barrier at the end of the round is the halo color exchange — after it,
-/// every cross-shard (halo) arc sees its endpoint's committed color, and
-/// the release scan runs on globally consistent state. Works on *any*
-/// [`GraphView`] (the bounds need not match the representation's physical
-/// layout), and is bit-identical to [`jp_color_levels`] because each
-/// vertex's color is a function of earlier-round colors only.
+/// (`bounds` as produced by `pgc_graph::ShardedCsr::boundaries`). Each
+/// round is sorted once by (shard, degree class, id) — keys computed once
+/// per vertex, when it is released — and colored in one parallel loop
+/// with adjacency prefetch ([`crate::schedule`]), so every shard is a
+/// contiguous, degree-bucketed slice of the round. A round's frontier is
+/// an independent set of `Gρ`, so no vertex reads another's in-round
+/// color; the fork–join barrier at the end of the round is the halo color
+/// exchange — after it, every cross-shard (halo) arc sees its endpoint's
+/// committed color, and the release scan runs on globally consistent
+/// state. Works on *any* [`GraphView`] (the bounds need not match the
+/// representation's physical layout), and the coloring is independent of
+/// `bounds` because each vertex's color is a function of earlier-round
+/// colors only.
 pub fn jp_color_levels_sharded<G: GraphView>(
     g: &G,
     rho: &[u64],
@@ -262,52 +267,32 @@ pub fn jp_color_levels_sharded<G: GraphView>(
         bounds.len() >= 2 && bounds[0] == 0 && *bounds.last().unwrap() as usize == g.n(),
         "shard bounds must cover 0..n"
     );
-    let num_shards = bounds.len() - 1;
     let counts = predecessor_counts(g, rho);
     let counters = JoinCounters::from_values(&counts);
     let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let mut frontier: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
+    let key = |v: u32| round_key(g, bounds, v);
+    let mut round: Vec<u64> = sources(&counts).par_iter().map(|&v| key(v)).collect();
+    let dist = prefetch_dist(g);
     let mut rounds = 0u32;
-    while !frontier.is_empty() {
+    while !round.is_empty() {
         rounds += 1;
         let _round = pgc_obs::span!("jp.round");
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        for &v in &frontier {
-            by_shard[bounds[1..].partition_point(|&b| b <= v)].push(v);
-        }
-        let colors_ref = &colors;
-        by_shard.par_iter_mut().for_each(|sub| {
-            if sub.is_empty() {
-                return;
-            }
-            let _shard = pgc_obs::span!("jp.shard");
-            crate::schedule::bucket_by_degree(g, sub);
-            let sub = &sub[..];
-            (0..sub.len()).into_par_iter().for_each_init(
-                || FixedBitmap::new(0),
-                |scratch, i| {
-                    crate::schedule::prefetch_ahead(g, sub, i);
-                    let v = sub[i];
-                    let c = get_color(g, rho, colors_ref, v, scratch);
-                    colors_ref[v as usize].store(c, AtOrd::Relaxed);
-                },
-            );
-        });
+        round.par_sort_unstable();
+        let slots = &round[..];
+        (0..slots.len()).into_par_iter().for_each_init(
+            || FixedBitmap::new(0),
+            |scratch, i| {
+                if let Some(&ahead) = slots.get(i + dist) {
+                    g.prefetch_neighbors(ahead as u32);
+                }
+                let v = slots[i] as u32;
+                let c = get_color(g, rho, &colors, v, scratch);
+                colors[v as usize].store(c, AtOrd::Relaxed);
+            },
+        );
         // Implicit barrier above = halo color exchange; release the next
         // level against fully committed colors.
-        let counters_ref = &counters;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let rv = rho[v as usize];
-                g.neighbors(v)
-                    .filter(move |&u| rho[u as usize] < rv && counters_ref.join(u as usize))
-            })
-            .collect();
+        round = release_level(g, rho, &counters, slots, key);
     }
     (colors.into_iter().map(|c| c.into_inner()).collect(), rounds)
 }
@@ -319,23 +304,11 @@ pub fn jp_color_levels_sharded<G: GraphView>(
 pub fn dag_longest_path<G: GraphView>(g: &G, rho: &[u64]) -> u32 {
     let counts = predecessor_counts(g, rho);
     let counters = JoinCounters::from_values(&counts);
-    let mut frontier: Vec<u32> = g
-        .vertices()
-        .into_par_iter()
-        .filter(|&v| counts[v as usize] == 0)
-        .collect();
+    let mut level: Vec<u64> = sources(&counts).into_iter().map(u64::from).collect();
     let mut levels = 0u32;
-    while !frontier.is_empty() {
+    while !level.is_empty() {
         levels += 1;
-        let counters_ref = &counters;
-        frontier = frontier
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let rv = rho[v as usize];
-                g.neighbors(v)
-                    .filter(move |&u| rho[u as usize] < rv && counters_ref.join(u as usize))
-            })
-            .collect();
+        level = release_level(g, rho, &counters, &level, u64::from);
     }
     levels
 }
@@ -346,7 +319,7 @@ mod tests {
     use crate::verify::{assert_proper, num_colors};
     use pgc_graph::builder::from_edges;
     use pgc_graph::gen::{generate, GraphSpec};
-    use pgc_graph::CsrGraph;
+    use pgc_graph::CompactCsr;
     use pgc_order::{compute, OrderingKind};
     use pgc_primitives::random_permutation;
 
@@ -477,7 +450,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(0);
+        let g = CompactCsr::empty(0);
         assert!(jp_color(&g, &[]).is_empty());
         let (c, r) = jp_color_levels(&g, &[]);
         assert!(c.is_empty());
@@ -486,7 +459,7 @@ mod tests {
 
     #[test]
     fn isolated_vertices_all_get_color_zero() {
-        let g = CsrGraph::empty(10);
+        let g = CompactCsr::empty(10);
         let rho = random_rho(10, 1);
         let colors = jp_color(&g, &rho);
         assert!(colors.iter().all(|&c| c == 0));

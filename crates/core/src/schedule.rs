@@ -15,6 +15,8 @@
 //!   and the degree classes keep per-work-item cost uniform inside a
 //!   parallel chunk, so one straggling hub no longer serializes a chunk
 //!   of leaves.
+//!   The JP level loop sorts by the same key with the vertex's shard in
+//!   front, computed once per vertex when it is released.
 //! * **Software prefetch** ([`prefetch_ahead`]): while vertex `i` of the
 //!   round is processed, the adjacency list of vertex `i + PREFETCH_DIST`
 //!   is requested, hiding the dependent-load latency of

@@ -1,18 +1,94 @@
-//! Compact CSR: the paper's exact word budget, now the default
-//! representation.
+//! Compact CSR: the paper's exact word budget and the one flat CSR
+//! layout of the workspace.
 //!
 //! The paper stores a graph as "n sorted arrays with neighbors of each
 //! vertex (2m words) and offsets to each array (n words)" (§II-A) with
-//! 32-bit words. The legacy [`CsrGraph`] spends 8-byte
-//! `usize` offsets — double the paper's n-term. [`CompactCsr`] stores
-//! offsets as `u32` whenever `2m < u32::MAX` (every graph that fits the
-//! `u32` vertex-id space in practice), halving offset memory and the
-//! offset-stream bandwidth of the peel/color hot loops, with a transparent
-//! wide (`usize`) fallback for huge graphs.
+//! 32-bit words. [`CompactCsr`] stores offsets as `u32` whenever
+//! `2m < u32::MAX` (every graph that fits the `u32` vertex-id space in
+//! practice), matching that budget and halving the offset-stream
+//! bandwidth of the peel/color hot loops against 8-byte offsets, with a
+//! transparent wide (`usize`) fallback for huge graphs. Vertices are
+//! `u32` ids `0..n` (the paper's `1..n` shifted to 0-based); the id order
+//! is the total order `≺` used to sort neighborhoods.
 
-use crate::csr::{degree_extremes, validate_csr_arrays, CsrGraph};
 use crate::view::{GraphMemory, GraphView, UnitWeights, WeightedView};
 use rayon::prelude::*;
+
+/// Cached degree extremes `(Δ, δ)` from an offsets accessor — shared by
+/// every CSR-shaped representation so the construction-time caching
+/// semantics cannot diverge between layouts.
+pub(crate) fn degree_extremes(n: usize, offset: impl Fn(usize) -> usize) -> (u32, u32) {
+    let (max_deg, min_deg) = (0..n)
+        .map(|v| (offset(v + 1) - offset(v)) as u32)
+        .fold((0u32, u32::MAX), |(mx, mn), d| (mx.max(d), mn.min(d)));
+    (max_deg, if n == 0 { 0 } else { min_deg })
+}
+
+/// The linear-time part of the CSR invariants of `(offsets, neighbors)`
+/// arrays behind an accessor: offsets non-decreasing from 0 to
+/// `neighbors.len()`, adjacencies strictly ascending, in range, and
+/// loop-free — one O(n + m) sweep, no symmetry cross-checks. Returns the
+/// first violation, if any. The snapshot loader runs this on every load;
+/// [`validate_csr_arrays`] adds the O(m log Δ) symmetry check on top.
+pub(crate) fn validate_csr_shape(
+    offsets_len: usize,
+    offset: impl Fn(usize) -> usize,
+    neighbors: &[u32],
+) -> Result<(), String> {
+    if offsets_len == 0 {
+        return Err("offsets must have length n+1 >= 1".into());
+    }
+    if offset(0) != 0 {
+        return Err("offsets[0] must be 0".into());
+    }
+    if offset(offsets_len - 1) != neighbors.len() {
+        return Err("offsets must end at neighbors.len()".into());
+    }
+    let n = (offsets_len - 1) as u32;
+    for v in 0..n {
+        let (lo, hi) = (offset(v as usize), offset(v as usize + 1));
+        if lo > hi {
+            return Err(format!("offsets decrease at vertex {v}"));
+        }
+        let nbrs = &neighbors[lo..hi];
+        for w in nbrs.windows(2) {
+            if w[0] >= w[1] {
+                return Err(format!("neighbors of {v} not strictly increasing"));
+            }
+        }
+        if let Some(&last) = nbrs.last() {
+            if last >= n {
+                return Err(format!("neighbor {last} of {v} out of range"));
+            }
+        }
+        if nbrs.binary_search(&v).is_ok() {
+            return Err(format!("self-loop at {v}"));
+        }
+    }
+    Ok(())
+}
+
+/// Check the full CSR invariants of `(offsets, neighbors)` arrays behind
+/// an accessor, without copying anything: everything
+/// [`validate_csr_shape`] covers plus adjacency symmetry. Returns the
+/// first violation, if any.
+pub(crate) fn validate_csr_arrays(
+    offsets_len: usize,
+    offset: impl Fn(usize) -> usize,
+    neighbors: &[u32],
+) -> Result<(), String> {
+    validate_csr_shape(offsets_len, &offset, neighbors)?;
+    let n = (offsets_len - 1) as u32;
+    let adjacency = |v: u32| &neighbors[offset(v as usize)..offset(v as usize + 1)];
+    for v in 0..n {
+        for &u in adjacency(v) {
+            if adjacency(u).binary_search(&v).is_err() {
+                return Err(format!("asymmetric edge ({v},{u})"));
+            }
+        }
+    }
+    Ok(())
+}
 
 /// The offset array, at the narrowest width that can address `2m`
 /// neighbor slots.
@@ -53,10 +129,15 @@ impl Offsets {
 /// by [`EdgeListBuilder`](crate::EdgeListBuilder), the generators, and the
 /// readers.
 ///
-/// Invariants are those of [`CsrGraph`]: offsets
-/// non-decreasing starting at 0, adjacencies strictly ascending, no
-/// self-loops, symmetric edges. Δ and δ are computed once at construction,
-/// so [`max_degree`](GraphView::max_degree) /
+/// Invariants (enforced by [`EdgeListBuilder`](crate::EdgeListBuilder)
+/// and checked by [`CompactCsr::validate`]):
+/// * `offsets.len() == n + 1`, `offsets[0] == 0`, non-decreasing,
+/// * each neighbor list is strictly increasing (sorted, no duplicates),
+/// * no self-loops,
+/// * symmetry: `u ∈ N(v) ⇔ v ∈ N(u)`.
+///
+/// Δ and δ are computed once at construction, so
+/// [`max_degree`](GraphView::max_degree) /
 /// [`min_degree`](GraphView::min_degree) are O(1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactCsr {
@@ -106,19 +187,6 @@ impl CompactCsr {
             max_deg: 0,
             min_deg: 0,
         }
-    }
-
-    /// Convert from the legacy `usize`-offset representation.
-    pub fn from_legacy(g: &CsrGraph) -> Self {
-        Self::from_raw(g.raw_offsets().to_vec(), g.raw_neighbors().to_vec())
-    }
-
-    /// Widen back into the legacy representation (equivalence testing).
-    pub fn to_legacy(&self) -> CsrGraph {
-        let offsets: Vec<usize> = (0..self.offsets.len())
-            .map(|i| self.offsets.get(i))
-            .collect();
-        CsrGraph::from_raw(offsets, self.neighbors.clone())
     }
 
     /// Number of vertices `n`.
@@ -352,14 +420,77 @@ mod tests {
         );
     }
 
+    fn triangle() -> CompactCsr {
+        from_edges(3, &[(0, 1), (1, 2), (0, 2)])
+    }
+
     #[test]
-    fn legacy_roundtrip() {
-        let g = from_edges(6, &[(0, 3), (3, 5), (1, 2), (2, 4), (0, 5)]);
-        let legacy = g.to_legacy();
-        assert_eq!(legacy.n(), g.n());
-        assert_eq!(legacy.m(), g.m());
-        let back = CompactCsr::from_legacy(&legacy);
-        assert_eq!(back, g);
+    fn empty_graph() {
+        let g = CompactCsr::empty(5);
+        assert_eq!(g.n(), 5);
+        assert_eq!(g.m(), 0);
+        assert_eq!(g.max_degree(), 0);
+        assert_eq!(g.avg_degree(), 0.0);
+        assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn zero_vertex_graph() {
+        let g = CompactCsr::empty(0);
+        assert_eq!(g.n(), 0);
+        assert_eq!(g.avg_degree(), 0.0);
+        assert_eq!(g.edges().count(), 0);
+    }
+
+    #[test]
+    fn triangle_basics() {
+        let g = triangle();
+        assert_eq!(g.n(), 3);
+        assert_eq!(g.m(), 3);
+        assert_eq!(g.degree(0), 2);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert!(g.has_edge(0, 2));
+        assert!(!g.has_edge(0, 0));
+        assert_eq!(g.max_degree(), 2);
+        assert_eq!(g.min_degree(), 2);
+        assert!((g.avg_degree() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn edges_iterator_each_edge_once() {
+        let es: Vec<_> = triangle().edges().collect();
+        assert_eq!(es, vec![(0, 1), (0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn degree_array_matches() {
+        assert_eq!(triangle().degree_array(), vec![2, 2, 2]);
+    }
+
+    /// Run the full validator over plain `usize` offset/neighbor arrays.
+    fn validate(offsets: &[usize], neighbors: &[u32]) -> Result<(), String> {
+        validate_csr_arrays(offsets.len(), |i| offsets[i], neighbors)
+    }
+
+    #[test]
+    fn validate_catches_asymmetry() {
+        let (offsets, neighbors) = ([0, 1, 1], [1]);
+        assert!(validate_csr_shape(offsets.len(), |i| offsets[i], &neighbors).is_ok());
+        assert!(validate(&offsets, &neighbors).is_err());
+    }
+
+    #[test]
+    fn validate_catches_self_loop() {
+        let (offsets, neighbors) = ([0, 1], [0]);
+        assert!(validate_csr_shape(offsets.len(), |i| offsets[i], &neighbors).is_err());
+        assert!(validate(&offsets, &neighbors).is_err());
+    }
+
+    #[test]
+    fn validate_catches_unsorted() {
+        let (offsets, neighbors) = ([0, 2, 3, 5], [2, 1, 0, 0, 1]);
+        assert!(validate_csr_shape(offsets.len(), |i| offsets[i], &neighbors).is_err());
+        assert!(validate(&offsets, &neighbors).is_err());
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! per-iterator scratch so the scheduling layer can shorten its
 //! prefetch lookahead.
 
-use crate::compact::{CompactCsr, Offsets};
-use crate::csr::degree_extremes;
+use crate::compact::{degree_extremes, CompactCsr, Offsets};
 use crate::snapshot::Backing;
 use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;

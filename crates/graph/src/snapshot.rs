@@ -71,11 +71,10 @@
 //! arrays and the weights are copied out. Version 1 files are written
 //! and read byte-identically to before.
 
-use crate::compact::{CompactCsr, Offsets};
-use crate::compressed::{Arena, CompressedCsr};
 #[cfg(debug_assertions)]
-use crate::csr::validate_csr_arrays;
-use crate::csr::validate_csr_shape;
+use crate::compact::validate_csr_arrays;
+use crate::compact::{validate_csr_shape, CompactCsr, Offsets};
+use crate::compressed::{Arena, CompressedCsr};
 use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
 use crate::weighted::{SliceWeightedNeighbors, WeightedCsr};
@@ -849,7 +848,7 @@ pub fn load_weighted_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<Wei
 /// ([`pgc_primitives::varint::validate_run`], so truncated or mis-framed
 /// runs error instead of panicking or decoding garbage) and decodes to
 /// the right count of strictly-ascending, in-range, loop-free ids — the
-/// [`crate::csr::validate_csr_shape`] contract, run through the decoder.
+/// [`crate::compact::validate_csr_shape`] contract, run through the decoder.
 /// Debug builds add the symmetry cross-check.
 fn validate_compressed<W: EdgeWeight>(g: &CompressedCsr<W>, n: usize) -> std::io::Result<()> {
     use rayon::prelude::*;

@@ -1,7 +1,7 @@
 //! Streaming two-pass CSR construction: the [`EdgeSource`] trait and the
 //! parallel builder that turns any re-playable arc stream into a
-//! [`CompactCsr`], a [`WeightedCsr`], or a legacy [`CsrGraph`] **without
-//! materializing an arc list**.
+//! [`CompactCsr`] or a [`WeightedCsr`] **without materializing an arc
+//! list**.
 //!
 //! The paper targets graphs where memory, not compute, binds (§II-A's
 //! word-budget accounting). The old build path buffered every input edge
@@ -57,7 +57,6 @@
 //! buffered source for API compatibility.
 
 use crate::compact::{CompactCsr, Offsets};
-use crate::csr::CsrGraph;
 use crate::weight::EdgeWeight;
 use crate::weighted::WeightedCsr;
 use pgc_par::for_each_chunk;
@@ -277,21 +276,6 @@ pub fn build_weighted_with_stats<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     Ok((WeightedCsr::from_parts(raw.into_compact(), weights), stats))
 }
 
-/// Build the legacy machine-word-offset [`CsrGraph`] through the same
-/// two-pass engine (bit-identical adjacency, used by the equivalence
-/// suite).
-pub fn build_legacy<S: EdgeSource + ?Sized>(src: &S) -> io::Result<CsrGraph> {
-    build_legacy_with_stats(src).map(|(g, _)| g)
-}
-
-/// [`build_legacy`] returning the [`BuildStats`] instrumentation too.
-pub fn build_legacy_with_stats<S: EdgeSource + ?Sized>(
-    src: &S,
-) -> io::Result<(CsrGraph, BuildStats)> {
-    let (raw, _unit_weights, stats) = build_raw::<(), S>(src, u32::MAX as usize)?;
-    Ok((raw.into_legacy(), stats))
-}
-
 /// Test hook: run the builder with an artificially small `u32` offset
 /// limit, forcing the wide-offset fallback on small graphs so the
 /// `u32 → usize` boundary is exercisable without 4-billion-arc inputs.
@@ -339,16 +323,6 @@ impl RawCsr {
             RawCsr::Wide { offsets, neighbors } => {
                 CompactCsr::from_offsets(Offsets::Wide(offsets), neighbors)
             }
-        }
-    }
-
-    fn into_legacy(self) -> CsrGraph {
-        match self {
-            RawCsr::Small { offsets, neighbors } => {
-                let wide: Vec<usize> = offsets.iter().map(|&o| o as usize).collect();
-                CsrGraph::from_raw(wide, neighbors)
-            }
-            RawCsr::Wide { offsets, neighbors } => CsrGraph::from_raw(offsets, neighbors),
         }
     }
 }
@@ -848,6 +822,16 @@ mod tests {
         }
     }
 
+    /// Both graphs hold the same offsets (compared as `usize`, so a
+    /// `u32` and a `usize` offset array can be equal) and neighbors.
+    fn assert_same_arrays(a: &CompactCsr, b: &CompactCsr) {
+        let offsets = |g: &CompactCsr| -> Vec<usize> {
+            (0..=g.n()).map(|i| g.raw_offsets().get(i)).collect()
+        };
+        assert_eq!(offsets(a), offsets(b), "offsets differ");
+        assert_eq!(a.raw_neighbors(), b.raw_neighbors(), "neighbors differ");
+    }
+
     /// Weighted in-memory source over a triple slice.
     struct WVecSource {
         n: usize,
@@ -933,15 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_and_compact_share_arrays() {
-        let pairs = vec![(0, 3), (3, 1), (2, 0), (1, 2), (0, 3)];
-        let src = VecSource { n: 4, pairs };
-        let c = build_compact(&src).unwrap();
-        let l = build_legacy(&src).unwrap();
-        assert_eq!(c.to_legacy(), l);
-    }
-
-    #[test]
     fn forced_wide_matches_small() {
         let pairs: Vec<(u32, u32)> = (0..40u32).map(|i| (i % 7, (i * 3 + 1) % 7)).collect();
         let src = VecSource { n: 7, pairs };
@@ -949,7 +924,7 @@ mod tests {
         assert_eq!(small.offset_width(), 4);
         let (wide, _) = build_compact_with_offset_limit(&src, 1).unwrap();
         assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
-        assert_eq!(wide.to_legacy(), small.to_legacy());
+        assert_same_arrays(&wide, &small);
     }
 
     #[test]
@@ -1030,7 +1005,7 @@ mod tests {
             wide.structure().offset_width(),
             std::mem::size_of::<usize>()
         );
-        assert_eq!(wide.structure().to_legacy(), small.structure().to_legacy());
+        assert_same_arrays(wide.structure(), small.structure());
         for v in 0..9u32 {
             assert_eq!(wide.neighbor_weights(v), small.neighbor_weights(v));
         }

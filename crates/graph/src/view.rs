@@ -147,10 +147,11 @@ impl GraphMemory {
 /// `Sync` is a supertrait: all hot loops traverse the graph from many
 /// threads at once.
 ///
-/// Implementations: [`crate::CsrGraph`] (legacy `usize`-offset CSR),
-/// [`crate::CompactCsr`] (the default; 4-byte offsets when `2m <
-/// u32::MAX`), [`crate::InducedView`] (zero-copy induced subgraph of any
-/// other view).
+/// Implementations: [`crate::CompactCsr`] (the default; 4-byte offsets
+/// when `2m < u32::MAX`, machine-word offsets beyond),
+/// [`crate::WeightedCsr`], [`crate::CompressedCsr`], [`crate::ShardedCsr`],
+/// [`crate::MappedSnapshot`], and [`crate::InducedView`] (zero-copy
+/// induced subgraph of any other view).
 pub trait GraphView: Sync {
     /// Iterator over the sorted neighbor ids of one vertex.
     type Neighbors<'a>: Iterator<Item = u32> + 'a
@@ -236,8 +237,9 @@ pub trait GraphView: Sync {
         }
     }
 
-    /// Storage footprint of this representation. The default assumes the
-    /// legacy layout: machine-word offsets, 4-byte neighbors, no weights.
+    /// Storage footprint of this representation. The default assumes
+    /// machine-word offsets, 4-byte neighbors and no weights, the layout
+    /// of [`crate::CompactCsr`]'s wide fallback.
     fn memory_footprint(&self) -> GraphMemory {
         GraphMemory {
             offset_width: std::mem::size_of::<usize>(),

@@ -126,8 +126,8 @@ impl OffsetWord for usize {
 /// `offsets[n]`. Returns `(offsets, total)`.
 ///
 /// This is the single offsets-from-degrees engine behind every CSR
-/// construction path in the workspace (`CompactCsr` and the legacy
-/// `CsrGraph`, buffered and streaming alike), generic over the offset
+/// construction path in the workspace (`CompactCsr` at either offset
+/// width, buffered and streaming alike), generic over the offset
 /// width so the `u32` fast path never materializes machine-word offsets.
 /// Same blocked scan as [`prefix_sum_exclusive`]: `O(n)` work,
 /// `O(log n)` depth.

@@ -5,19 +5,22 @@
 //! any two representations of the same abstract graph. This suite pins
 //! that down three ways:
 //!
-//! 1. all 21 algorithms agree between [`CompactCsr`] (u32 offsets, the
-//!    default) and the legacy machine-word [`CsrGraph`],
+//! 1. all 21 algorithms agree between a narrow [`CompactCsr`] (u32
+//!    offsets, the default) and the same graph forced onto its
+//!    machine-word wide-offset fallback through the builder's offset
+//!    limit,
 //! 2. [`InducedView`] agrees with a materialized induced subgraph on
 //!    degrees, edges, and the colorings computed through it,
-//! 3. a size check proves the compact layout really spends 4 bytes per
-//!    offset entry when `2m < u32::MAX`.
+//! 3. a size check proves the narrow layout really spends 4 bytes per
+//!    offset entry when `2m < u32::MAX`, half the wide fallback's.
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
-use pgc::graph::builder::{from_edges, from_edges_legacy};
-use pgc::graph::gen::{generate, GraphSpec};
+use pgc::graph::builder::from_edges;
+use pgc::graph::gen::{generate, GraphSpec, SpecSource};
+use pgc::graph::stream::{build_compact, build_compact_with_offset_limit, EdgeSource};
 use pgc::graph::transform::induced_subgraph;
-use pgc::graph::{CompactCsr, CsrGraph, GraphView, InducedView};
+use pgc::graph::{CompactCsr, EdgeListBuilder, GraphView, InducedView};
 use proptest::prelude::*;
 
 /// Strategy: raw edge list + vertex count (dedup happens in the builder).
@@ -28,33 +31,41 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u
     })
 }
 
-fn both_representations(n: usize, edges: &[(u32, u32)]) -> (CompactCsr, CsrGraph) {
-    (from_edges(n, edges), from_edges_legacy(n, edges))
+/// `src` built twice: with `u32` offsets, and forced onto the
+/// machine-word wide-offset fallback (offset limit 0).
+fn narrow_and_wide(src: &impl EdgeSource) -> (CompactCsr, CompactCsr) {
+    let narrow = build_compact(src).unwrap();
+    let (wide, _) = build_compact_with_offset_limit(src, 0).unwrap();
+    assert_eq!(narrow.offset_width(), 4);
+    assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
+    (narrow, wide)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) All 21 algorithms give bit-identical colorings on `CompactCsr`
-    /// vs the legacy representation.
+    /// (a) All 21 algorithms give bit-identical colorings on the narrow
+    /// and the wide-offset `CompactCsr`.
     #[test]
     fn all_algorithms_identical_across_representations(
         (n, edges) in arb_edges(40, 160),
         seed in 0u64..500,
     ) {
-        let (compact, legacy) = both_representations(n, &edges);
-        prop_assert_eq!(compact.n(), legacy.n());
-        prop_assert_eq!(compact.m(), legacy.m());
+        let mut b = EdgeListBuilder::with_capacity(n, edges.len());
+        b.extend_edges(edges.iter().copied());
+        let (narrow, wide) = narrow_and_wide(&b);
+        prop_assert_eq!(narrow.n(), wide.n());
+        prop_assert_eq!(narrow.m(), wide.m());
         let params = Params { seed, ..Params::default() };
         for algo in Algorithm::all() {
-            let c = run(&compact, algo, &params);
-            let l = run(&legacy, algo, &params);
-            verify::assert_proper(&compact, &c.colors);
+            let c = run(&narrow, algo, &params);
+            let w = run(&wide, algo, &params);
+            verify::assert_proper(&narrow, &c.colors);
             prop_assert_eq!(
-                &c.colors, &l.colors,
-                "{} differs between CompactCsr and CsrGraph", algo.name()
+                &c.colors, &w.colors,
+                "{} differs between narrow and wide offsets", algo.name()
             );
-            prop_assert_eq!(c.num_colors, l.num_colors);
+            prop_assert_eq!(c.num_colors, w.num_colors);
         }
     }
 
@@ -104,7 +115,7 @@ proptest! {
 }
 
 /// (a) at realistic scale: the full algorithm registry on generated suite
-/// proxies, compact vs legacy, exact color vectors.
+/// proxies, narrow vs wide offsets, exact color vectors.
 #[test]
 fn generated_graphs_identical_across_representations() {
     let params = Params::default();
@@ -122,12 +133,12 @@ fn generated_graphs_identical_across_representations() {
     .iter()
     .enumerate()
     {
-        let compact = generate(spec, i as u64);
-        let legacy = compact.to_legacy();
+        let (narrow, wide) = narrow_and_wide(&SpecSource::new(spec.clone(), i as u64));
+        assert_eq!(narrow, generate(spec, i as u64));
         for algo in Algorithm::all() {
-            let c = run(&compact, algo, &params);
-            let l = run(&legacy, algo, &params);
-            assert_eq!(c.colors, l.colors, "{} on {spec:?}", algo.name());
+            let c = run(&narrow, algo, &params);
+            let w = run(&wide, algo, &params);
+            assert_eq!(c.colors, w.colors, "{} on {spec:?}", algo.name());
         }
     }
 }
@@ -137,13 +148,11 @@ fn generated_graphs_identical_across_representations() {
 /// n-offsets + 2m-neighbors budget.
 #[test]
 fn compact_offsets_are_four_bytes() {
-    let g = generate(
-        &GraphSpec::Rmat {
-            scale: 10,
-            edge_factor: 8,
-        },
-        1,
-    );
+    let spec = GraphSpec::Rmat {
+        scale: 10,
+        edge_factor: 8,
+    };
+    let g = generate(&spec, 1);
     assert!(g.num_arcs() < u32::MAX as usize);
     assert_eq!(g.offset_width(), 4, "u32 offsets expected");
     let fp = g.memory_footprint();
@@ -151,10 +160,11 @@ fn compact_offsets_are_four_bytes() {
     assert_eq!(fp.offset_count, g.n() + 1);
     assert_eq!(fp.offset_bytes(), 4 * (g.n() + 1));
     assert_eq!(fp.neighbor_bytes(), 4 * g.num_arcs());
-    // Half the legacy offset memory.
-    let legacy_fp = g.to_legacy().memory_footprint();
-    assert_eq!(legacy_fp.offset_bytes(), 2 * fp.offset_bytes());
-    assert_eq!(legacy_fp.neighbor_bytes(), fp.neighbor_bytes());
+    // Half the offset memory of the forced-wide fallback.
+    let (_, wide) = narrow_and_wide(&SpecSource::new(spec, 1));
+    let wide_fp = wide.memory_footprint();
+    assert_eq!(wide_fp.offset_bytes(), 2 * fp.offset_bytes());
+    assert_eq!(wide_fp.neighbor_bytes(), fp.neighbor_bytes());
 }
 
 /// Zero-copy recursion: mining's k-core and densest-subgraph views nest

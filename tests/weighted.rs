@@ -78,13 +78,12 @@ fn reference_weighted(n: usize, edges: &[(u32, u32, u32)]) -> (Vec<usize>, Vec<u
 
 fn assert_weighted_arrays(g: &WeightedCsr<u32>, n: usize, edges: &[(u32, u32, u32)]) {
     let (ref_offsets, ref_neighbors, ref_weights) = reference_weighted(n, edges);
-    let legacy = g.structure().to_legacy();
-    assert_eq!(legacy.raw_offsets(), &ref_offsets[..], "offsets differ");
-    assert_eq!(
-        legacy.raw_neighbors(),
-        &ref_neighbors[..],
-        "neighbors differ"
-    );
+    let s = g.structure();
+    let offsets: Vec<usize> = std::iter::once(0)
+        .chain(s.vertices().map(|v| s.arc_range(v).end))
+        .collect();
+    assert_eq!(offsets, ref_offsets, "offsets differ");
+    assert_eq!(s.raw_neighbors(), &ref_neighbors[..], "neighbors differ");
     assert_eq!(g.raw_weights(), &ref_weights[..], "weights differ");
 }
 
