@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pgc_graph::gen::{GraphSpec, SpecSource};
 use pgc_graph::io::{read_edge_list, write_edge_list};
 use pgc_graph::stream::{build_compact, build_compact_with_stats, EdgeSource};
-use pgc_graph::{EdgeListBuilder, GraphView as _};
+use pgc_graph::EdgeListBuilder;
 use std::hint::black_box;
 
 fn ingest(c: &mut Criterion) {

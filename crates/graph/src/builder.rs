@@ -11,17 +11,16 @@
 //! parameter `W` defaults to `()` (unweighted; the weights buffer is
 //! zero-sized and free); any other [`EdgeWeight`] makes
 //! [`EdgeListBuilder::build_weighted`] produce a
-//! [`WeightedCsr`]. Producers that can re-derive their edges (seeded
+//! weighted [`CompactCsr<W>`]. Producers that can re-derive their edges (seeded
 //! generators, file scans) should implement [`EdgeSource`] directly and
 //! skip the buffer entirely.
 
 use crate::compact::CompactCsr;
 use crate::stream::{self, ChunkFn, EdgeSource, CHUNK_EDGES};
 use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 
 /// Accumulates raw (optionally weighted) edges and builds a
-/// [`CompactCsr`] or [`WeightedCsr`] through the streaming two-pass
+/// [`CompactCsr`] (weighted or not) through the streaming two-pass
 /// engine.
 #[derive(Clone, Debug)]
 pub struct EdgeListBuilder<W: EdgeWeight = ()> {
@@ -91,10 +90,10 @@ impl<W: EdgeWeight> EdgeListBuilder<W> {
         }
     }
 
-    /// Build a [`WeightedCsr`]: symmetrize, drop self-loops, sort with
+    /// Build a weighted [`CompactCsr`]: symmetrize, drop self-loops, sort with
     /// weights co-permuted, merge duplicates by max weight; offsets
     /// narrowed to `u32` when `2m < u32::MAX`.
-    pub fn build_weighted(self) -> WeightedCsr<W> {
+    pub fn build_weighted(self) -> CompactCsr<W> {
         stream::build_weighted(&self).expect("in-memory replay cannot fail")
     }
 }
@@ -165,9 +164,9 @@ pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> CompactCsr {
     b.build()
 }
 
-/// Convenience: build a [`WeightedCsr`] directly from a weighted-edge
+/// Convenience: build a weighted [`CompactCsr`] directly from a weighted-edge
 /// slice.
-pub fn from_weighted_edges<W: EdgeWeight>(n: usize, edges: &[(u32, u32, W)]) -> WeightedCsr<W> {
+pub fn from_weighted_edges<W: EdgeWeight>(n: usize, edges: &[(u32, u32, W)]) -> CompactCsr<W> {
     let mut b = EdgeListBuilder::with_capacity(n, edges.len());
     b.extend_weighted_edges(edges.iter().copied());
     b.build_weighted()

@@ -1,5 +1,6 @@
 //! Compact CSR: the paper's exact word budget and the one flat CSR
-//! layout of the workspace.
+//! layout of the workspace, weighted or not, owned or mapped in place
+//! from a snapshot file.
 //!
 //! The paper stores a graph as "n sorted arrays with neighbors of each
 //! vertex (2m words) and offsets to each array (n words)" (§II-A) with
@@ -11,7 +12,9 @@
 //! `u32` ids `0..n` (the paper's `1..n` shifted to 0-based); the id order
 //! is the total order `≺` used to sort neighborhoods.
 
-use crate::view::{GraphMemory, GraphView, UnitWeights, WeightedView};
+use crate::storage::Storage;
+use crate::view::{GraphMemory, GraphView, WeightedView};
+use crate::weight::EdgeWeight;
 use rayon::prelude::*;
 
 /// Cached degree extremes `(Δ, δ)` from an offsets accessor — shared by
@@ -47,8 +50,10 @@ pub(crate) fn validate_csr_shape(
     let n = (offsets_len - 1) as u32;
     for v in 0..n {
         let (lo, hi) = (offset(v as usize), offset(v as usize + 1));
-        if lo > hi {
-            return Err(format!("offsets decrease at vertex {v}"));
+        if lo > hi || hi > neighbors.len() {
+            return Err(format!(
+                "offsets decrease or overrun the neighbors at vertex {v}"
+            ));
         }
         let nbrs = &neighbors[lo..hi];
         for w in nbrs.windows(2) {
@@ -95,12 +100,27 @@ pub(crate) fn validate_csr_arrays(
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Offsets {
     /// 4-byte offsets: valid while `2m < u32::MAX`.
-    Small(Vec<u32>),
+    Small(Storage<u32>),
     /// Machine-word fallback for graphs with `2m ≥ u32::MAX` arcs.
-    Wide(Vec<usize>),
+    Wide(Storage<usize>),
 }
 
 impl Offsets {
+    /// `u32` entries when the last offset fits, else machine words.
+    pub(crate) fn narrowest(offsets: Vec<usize>) -> Self {
+        if offsets.last().is_some_and(|&end| end >= u32::MAX as usize) {
+            Offsets::Wide(offsets.into())
+        } else {
+            Offsets::Small(
+                offsets
+                    .into_iter()
+                    .map(|o| o as u32)
+                    .collect::<Vec<_>>()
+                    .into(),
+            )
+        }
+    }
+
     #[inline]
     pub(crate) fn get(&self, i: usize) -> usize {
         match self {
@@ -125,24 +145,43 @@ impl Offsets {
 }
 
 /// Immutable, undirected, simple graph in CSR form with width-adaptive
-/// offsets — the workspace's default [`GraphView`] implementation, built
-/// by [`EdgeListBuilder`](crate::EdgeListBuilder), the generators, and the
-/// readers.
+/// offsets and one payload per arc — the workspace's flat [`GraphView`] /
+/// [`WeightedView`] implementation, built by
+/// [`EdgeListBuilder`](crate::EdgeListBuilder), the generators, and the
+/// readers, and served in place from a snapshot file by
+/// [`CompactCsr::open`].
+///
+/// Struct-of-arrays on purpose: the weights live in one separate
+/// neighbor-parallel array (`weights[i]` belongs to the arc stored at
+/// `neighbors[i]`), so unweighted traversals never stream a weight byte,
+/// and the default payload `W = ()` stores nothing at all. Each array is
+/// either owned or a range of a mapped snapshot; access is the same
+/// slice index either way.
 ///
 /// Invariants (enforced by [`EdgeListBuilder`](crate::EdgeListBuilder)
 /// and checked by [`CompactCsr::validate`]):
 /// * `offsets.len() == n + 1`, `offsets[0] == 0`, non-decreasing,
 /// * each neighbor list is strictly increasing (sorted, no duplicates),
 /// * no self-loops,
-/// * symmetry: `u ∈ N(v) ⇔ v ∈ N(u)`.
+/// * symmetry: `u ∈ N(v) ⇔ v ∈ N(u)`, and `w(u→v) == w(v→u)`.
 ///
 /// Δ and δ are computed once at construction, so
 /// [`max_degree`](GraphView::max_degree) /
 /// [`min_degree`](GraphView::min_degree) are O(1).
+///
+/// ```
+/// use pgc_graph::{builder::from_weighted_edges, GraphView, WeightedView};
+/// let g = from_weighted_edges(3, &[(0, 1, 2.5f64), (1, 2, 4.0)]);
+/// assert_eq!(g.m(), 2);
+/// assert_eq!(g.edge_weight(2, 1), Some(4.0));
+/// assert_eq!(g.weighted_degree(1), 6.5);
+/// assert_eq!(g.neighbors(1), &[0, 2]);
+/// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompactCsr {
+pub struct CompactCsr<W: EdgeWeight = ()> {
     offsets: Offsets,
-    neighbors: Vec<u32>,
+    neighbors: Storage<u32>,
+    weights: Storage<W>,
     max_deg: u32,
     min_deg: u32,
 }
@@ -151,12 +190,7 @@ impl CompactCsr {
     /// Construct from raw CSR arrays (offsets narrowed to `u32` when they
     /// fit). Debug builds validate the invariants.
     pub fn from_raw(offsets: Vec<usize>, neighbors: Vec<u32>) -> Self {
-        let offsets = if neighbors.len() < u32::MAX as usize {
-            Offsets::Small(offsets.into_iter().map(|o| o as u32).collect())
-        } else {
-            Offsets::Wide(offsets)
-        };
-        Self::from_offsets(offsets, neighbors)
+        Self::from_offsets(Offsets::narrowest(offsets), neighbors)
     }
 
     /// Construct from an already-width-resolved offset array — the entry
@@ -164,14 +198,8 @@ impl CompactCsr {
     /// produces `u32` offsets directly on the fast path instead of
     /// narrowing a machine-word array after the fact.
     pub(crate) fn from_offsets(offsets: Offsets, neighbors: Vec<u32>) -> Self {
-        let n = offsets.len().saturating_sub(1);
-        let (max_deg, min_deg) = degree_extremes(n, |i| offsets.get(i));
-        let g = Self {
-            offsets,
-            neighbors,
-            max_deg,
-            min_deg,
-        };
+        let arcs = neighbors.len();
+        let g = Self::from_storage(offsets, neighbors.into(), vec![(); arcs].into());
         #[cfg(debug_assertions)]
         if let Err(e) = g.validate() {
             panic!("invalid CSR: {e}");
@@ -181,11 +209,47 @@ impl CompactCsr {
 
     /// The empty graph on `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
+        Self::from_offsets(Offsets::Small(vec![0; n + 1].into()), Vec::new())
+    }
+
+    /// Attach a neighbor-parallel weights array.
+    ///
+    /// # Panics
+    ///
+    /// If `weights.len() != self.num_arcs()`. (Weight symmetry is the
+    /// builder's contract; [`CompactCsr::validate`] checks it on demand,
+    /// and debug builds check it here.)
+    pub fn with_weights<W: EdgeWeight>(self, weights: Vec<W>) -> CompactCsr<W> {
+        assert_eq!(
+            weights.len(),
+            self.num_arcs(),
+            "weights array must parallel the neighbor array"
+        );
+        let g = self.reweighted(weights.into());
+        #[cfg(debug_assertions)]
+        if let Err(e) = g.validate() {
+            panic!("invalid weighted CSR: {e}");
+        }
+        g
+    }
+}
+
+impl<W: EdgeWeight> CompactCsr<W> {
+    /// Assemble from arrays whose CSR shape the caller has checked (Δ/δ
+    /// are computed here; nothing is validated).
+    pub(crate) fn from_storage(
+        offsets: Offsets,
+        neighbors: Storage<u32>,
+        weights: Storage<W>,
+    ) -> Self {
+        let n = offsets.len().saturating_sub(1);
+        let (max_deg, min_deg) = degree_extremes(n, |i| offsets.get(i));
         Self {
-            offsets: Offsets::Small(vec![0; n + 1]),
-            neighbors: Vec::new(),
-            max_deg: 0,
-            min_deg: 0,
+            offsets,
+            neighbors,
+            weights,
+            max_deg,
+            min_deg,
         }
     }
 
@@ -219,9 +283,15 @@ impl CompactCsr {
         &self.neighbors[self.arc_range(v)]
     }
 
-    /// The index range of `v`'s adjacency inside the neighbor array (and
-    /// inside any neighbor-parallel payload array, e.g.
-    /// [`crate::WeightedCsr`]'s weights).
+    /// The weights of `v`'s adjacency, parallel to
+    /// [`neighbors`](Self::neighbors).
+    #[inline]
+    pub fn neighbor_weights(&self, v: u32) -> &[W] {
+        &self.weights[self.arc_range(v)]
+    }
+
+    /// The index range of `v`'s adjacency inside the neighbor array and
+    /// the weights array.
     #[inline]
     pub fn arc_range(&self, v: u32) -> std::ops::Range<usize> {
         self.offsets.get(v as usize)..self.offsets.get(v as usize + 1)
@@ -230,6 +300,12 @@ impl CompactCsr {
     /// True if `{u, v}` is an edge (binary search).
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Weight of edge `{u, v}` (binary search), `None` if absent.
+    pub fn edge_weight(&self, u: u32, v: u32) -> Option<W> {
+        let i = self.neighbors(u).binary_search(&v).ok()?;
+        Some(self.neighbor_weights(u)[i])
     }
 
     /// Maximum degree Δ (cached at construction).
@@ -290,6 +366,12 @@ impl CompactCsr {
         &self.neighbors
     }
 
+    /// The whole neighbor-parallel weights array.
+    #[inline]
+    pub fn raw_weights(&self) -> &[W] {
+        &self.weights
+    }
+
     /// The width-resolved offset array — the snapshot writer serializes
     /// it verbatim.
     #[inline]
@@ -297,34 +379,84 @@ impl CompactCsr {
         &self.offsets
     }
 
-    /// Check all CSR invariants without copying the graph; returns the
-    /// first violation, if any.
+    /// True when the arrays are served in place from a mapped snapshot
+    /// ([`CompactCsr::open`]) rather than owned.
+    pub fn is_mapped(&self) -> bool {
+        self.neighbors.is_mapped()
+    }
+
+    /// Drop the weights, keeping the structure (no copy).
+    pub fn into_structure(self) -> CompactCsr {
+        let arcs = self.num_arcs();
+        self.reweighted(vec![(); arcs].into())
+    }
+
+    /// The same structure carrying `weights` instead.
+    fn reweighted<V: EdgeWeight>(self, weights: Storage<V>) -> CompactCsr<V> {
+        CompactCsr {
+            offsets: self.offsets,
+            neighbors: self.neighbors,
+            weights,
+            max_deg: self.max_deg,
+            min_deg: self.min_deg,
+        }
+    }
+
+    /// Check all CSR invariants plus the weights-array length and weight
+    /// symmetry without copying the graph; returns the first violation,
+    /// if any.
     pub fn validate(&self) -> Result<(), String> {
-        validate_csr_arrays(self.offsets.len(), |i| self.offsets.get(i), &self.neighbors)
+        validate_csr_arrays(self.offsets.len(), |i| self.offsets.get(i), &self.neighbors)?;
+        if self.weights.len() != self.num_arcs() {
+            return Err(format!(
+                "weights length {} != num arcs {}",
+                self.weights.len(),
+                self.num_arcs()
+            ));
+        }
+        if W::IS_UNIT {
+            return Ok(());
+        }
+        for v in self.vertices() {
+            for (&u, &w) in self.neighbors(v).iter().zip(self.neighbor_weights(v)) {
+                if u < v {
+                    continue;
+                }
+                match self.edge_weight(u, v) {
+                    Some(back) if back == w => {}
+                    other => {
+                        return Err(format!(
+                            "asymmetric weight on edge ({v}, {u}): {w:?} vs {other:?}"
+                        ))
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-impl GraphView for CompactCsr {
+impl<W: EdgeWeight> GraphView for CompactCsr<W> {
     type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, u32>>;
 
     #[inline]
     fn n(&self) -> usize {
-        CompactCsr::n(self)
+        Self::n(self)
     }
 
     #[inline]
     fn num_arcs(&self) -> usize {
-        CompactCsr::num_arcs(self)
+        Self::num_arcs(self)
     }
 
     #[inline]
     fn degree(&self, v: u32) -> u32 {
-        CompactCsr::degree(self, v)
+        Self::degree(self, v)
     }
 
     #[inline]
     fn neighbors(&self, v: u32) -> Self::Neighbors<'_> {
-        CompactCsr::neighbors(self, v).iter().copied()
+        Self::neighbors(self, v).iter().copied()
     }
 
     #[inline]
@@ -338,11 +470,11 @@ impl GraphView for CompactCsr {
     }
 
     fn degree_array(&self) -> Vec<u32> {
-        CompactCsr::degree_array(self)
+        Self::degree_array(self)
     }
 
     fn has_edge(&self, u: u32, v: u32) -> bool {
-        CompactCsr::has_edge(self, u, v)
+        Self::has_edge(self, u, v)
     }
 
     #[inline]
@@ -362,31 +494,36 @@ impl GraphView for CompactCsr {
             encoded_bytes: 0,
             encoded_mapped_bytes: 0,
             aux_bytes: 0,
-            weight_bytes: 0,
+            weight_bytes: std::mem::size_of_val::<[W]>(&self.weights),
         }
     }
 }
 
-/// Unweighted CSR as a unit-weighted view: every edge weighs `1.0`, so
-/// weighted workloads collapse to their unweighted meanings.
-impl WeightedView for CompactCsr {
-    type Weight = ();
-    type WeightedNeighbors<'a> = UnitWeights<<Self as GraphView>::Neighbors<'a>>;
+/// With the unit payload every edge weighs `1.0`, so weighted workloads
+/// collapse to their unweighted meanings.
+impl<W: EdgeWeight> WeightedView for CompactCsr<W> {
+    type Weight = W;
+    type WeightedNeighbors<'a> = std::iter::Zip<
+        std::iter::Copied<std::slice::Iter<'a, u32>>,
+        std::iter::Copied<std::slice::Iter<'a, W>>,
+    >;
 
     #[inline]
     fn weighted_neighbors(&self, v: u32) -> Self::WeightedNeighbors<'_> {
-        UnitWeights(GraphView::neighbors(self, v))
+        let r = self.arc_range(v);
+        let (nbrs, weights) = (&self.neighbors[r.clone()], &self.weights[r]);
+        nbrs.iter().copied().zip(weights.iter().copied())
     }
 
-    fn edge_weight(&self, u: u32, v: u32) -> Option<()> {
-        self.has_edge(u, v).then_some(())
+    fn edge_weight(&self, u: u32, v: u32) -> Option<W> {
+        Self::edge_weight(self, u, v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::from_edges;
+    use crate::builder::{from_edges, from_weighted_edges};
 
     #[test]
     fn small_offsets_by_default() {
@@ -404,7 +541,10 @@ mod tests {
         // agree with the Small layout of the same arrays.
         let small = from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
         let offsets: Vec<usize> = (0..=5).map(|v| small.offsets.get(v)).collect();
-        let wide = CompactCsr::from_offsets(Offsets::Wide(offsets), small.raw_neighbors().to_vec());
+        let wide = CompactCsr::from_offsets(
+            Offsets::Wide(offsets.into()),
+            small.raw_neighbors().to_vec(),
+        );
         assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
         assert_eq!(wide.n(), small.n());
         assert_eq!(wide.m(), small.m());
@@ -494,6 +634,14 @@ mod tests {
     }
 
     #[test]
+    fn validate_catches_offsets_past_neighbors() {
+        // Offsets that end at neighbors.len() but overshoot it in between
+        // (a corrupt snapshot's) are an error, not an out-of-bounds slice.
+        let (offsets, neighbors) = ([0, 7, 2], [1, 0]);
+        assert!(validate_csr_shape(offsets.len(), |i| offsets[i], &neighbors).is_err());
+    }
+
+    #[test]
     fn cached_extremes_match_rescan() {
         let g = from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]);
         assert_eq!(g.max_degree(), 4);
@@ -519,5 +667,63 @@ mod tests {
         assert_eq!(g.m(), 0);
         assert_eq!(g.min_degree(), 0);
         assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn weights_ride_next_to_sorted_neighbors() {
+        let g = from_weighted_edges(4, &[(0u32, 3u32, 7.0f32), (0, 1, 1.0), (2, 0, 4.0)]);
+        assert_eq!(g.neighbors(0), &[1, 2, 3]);
+        assert_eq!(g.neighbor_weights(0), &[1.0, 4.0, 7.0]);
+        assert_eq!(g.edge_weight(3, 0), Some(7.0));
+        assert_eq!(g.edge_weight(1, 2), None);
+        assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn weighted_view_defaults() {
+        let g = from_weighted_edges(3, &[(0u32, 1u32, 2.0f64), (1, 2, 3.0)]);
+        assert_eq!(g.weighted_degree(1), 5.0);
+        assert_eq!(g.total_weight(), 5.0);
+        assert_eq!(
+            g.weighted_neighbors(1).collect::<Vec<_>>(),
+            vec![(0, 2.0), (2, 3.0)]
+        );
+        assert_eq!(
+            g.weighted_edges().collect::<Vec<_>>(),
+            vec![(0, 1, 2.0), (1, 2, 3.0)]
+        );
+    }
+
+    #[test]
+    fn footprint_charges_weights_separately() {
+        let g = from_weighted_edges(3, &[(0u32, 1u32, 2.0f64), (1, 2, 3.0)]);
+        let fp = g.memory_footprint();
+        assert_eq!(fp.weight_bytes, 4 * 8, "2m = 4 arcs × 8-byte f64");
+        let structural = g.clone().into_structure().memory_footprint();
+        assert_eq!(fp.total_bytes(), structural.total_bytes() + fp.weight_bytes);
+        // A unit-weighted graph charges nothing.
+        let unit = crate::stream::build_weighted::<(), _>(&{
+            let mut b = crate::builder::EdgeListBuilder::new(3);
+            b.add_edge(0, 1);
+            b
+        })
+        .unwrap();
+        assert_eq!(unit.memory_footprint().weight_bytes, 0);
+    }
+
+    #[test]
+    fn structure_matches_plain_build() {
+        let edges = [(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
+        let weighted: Vec<(u32, u32, u32)> =
+            edges.iter().map(|&(u, v)| (u, v, u + 10 * v)).collect();
+        let wg = from_weighted_edges(4, &weighted);
+        assert_eq!(wg.raw_weights().len(), wg.num_arcs());
+        assert_eq!(wg.into_structure(), from_edges(4, &edges));
+    }
+
+    #[test]
+    #[should_panic(expected = "parallel")]
+    fn mismatched_weights_length_panics() {
+        from_edges(3, &[(0, 1)]).with_weights(vec![1.0f32; 5]);
     }
 }

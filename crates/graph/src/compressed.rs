@@ -32,14 +32,12 @@
 //! prefetch lookahead.
 
 use crate::compact::{degree_extremes, CompactCsr, Offsets};
-use crate::snapshot::Backing;
+use crate::storage::Storage;
 use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 use pgc_primitives::varint;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// Scratch-ring slots per thread for [`CompressedCsr::with_neighbor_slice`]
 /// — depth 2 covers the nested two-operand probes of `intersect`-family
@@ -58,83 +56,6 @@ thread_local! {
         const { RefCell::new([Some(Vec::new()), Some(Vec::new())]) };
 }
 
-/// The encoded byte arena: heap-owned, or borrowed from an `mmap`ed v2
-/// snapshot (zero copy — the page cache is the storage).
-pub(crate) enum Arena {
-    Owned(Vec<u8>),
-    Mapped {
-        backing: Arc<Backing>,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl Arena {
-    #[inline]
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            Arena::Owned(v) => v,
-            Arena::Mapped {
-                backing,
-                start,
-                len,
-            } => &backing.bytes()[*start..*start + *len],
-        }
-    }
-
-    /// Heap bytes the arena itself owns (0 when mmap-backed: the pages
-    /// belong to the page cache, not this process's heap budget).
-    fn owned_bytes(&self) -> usize {
-        match self {
-            Arena::Owned(v) => v.len(),
-            Arena::Mapped { .. } => 0,
-        }
-    }
-
-    /// Arena bytes served zero-copy from an `mmap` (0 when heap-owned) —
-    /// the complement of [`owned_bytes`](Self::owned_bytes), so the two
-    /// always sum to the arena length.
-    fn mapped_bytes(&self) -> usize {
-        match self {
-            Arena::Owned(_) => 0,
-            Arena::Mapped { len, .. } => *len,
-        }
-    }
-}
-
-impl Clone for Arena {
-    fn clone(&self) -> Self {
-        match self {
-            Arena::Owned(v) => Arena::Owned(v.clone()),
-            Arena::Mapped {
-                backing,
-                start,
-                len,
-            } => Arena::Mapped {
-                backing: Arc::clone(backing),
-                start: *start,
-                len: *len,
-            },
-        }
-    }
-}
-
-impl PartialEq for Arena {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes() == other.bytes()
-    }
-}
-impl Eq for Arena {}
-
-impl std::fmt::Debug for Arena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Arena::Owned(v) => write!(f, "Arena::Owned({} B)", v.len()),
-            Arena::Mapped { len, .. } => write!(f, "Arena::Mapped({len} B)"),
-        }
-    }
-}
-
 /// Immutable, undirected, simple graph whose adjacencies live
 /// delta-varint-encoded in one contiguous byte arena. Same abstract
 /// contract as [`CompactCsr`] — sorted strictly-ascending symmetric
@@ -148,9 +69,11 @@ pub struct CompressedCsr<W: EdgeWeight = ()> {
     /// Byte position of each vertex's encoded run inside the arena
     /// (`n + 1`).
     byte_offsets: Offsets,
-    arena: Arena,
+    /// The concatenated encoded runs: heap-owned, or a range of an
+    /// `mmap`ed v2 snapshot (zero copy — the page cache is the storage).
+    arena: Storage<u8>,
     /// Neighbor-parallel payload, indexed by decoded arc position.
-    weights: Vec<W>,
+    weights: Storage<W>,
     max_deg: u32,
     min_deg: u32,
 }
@@ -169,20 +92,12 @@ impl<T> SharedMut<T> {
     }
 }
 
-pub(crate) fn narrow_offsets(offsets: Vec<usize>) -> Offsets {
-    if offsets.last().copied().unwrap_or(0) < u32::MAX as usize {
-        Offsets::Small(offsets.into_iter().map(|o| o as u32).collect())
-    } else {
-        Offsets::Wide(offsets)
-    }
-}
-
 impl CompressedCsr<()> {
     /// Losslessly encode an unweighted graph (parallel two-pass: measure
     /// per-vertex encoded lengths, prefix-sum, scatter-encode into
     /// disjoint arena ranges).
     pub fn from_compact(g: &CompactCsr) -> Self {
-        Self::encode_parts(g, Vec::new()).0
+        Self::encode_parts(g).0
     }
 
     /// [`from_compact`](Self::from_compact), charging the converter's
@@ -190,7 +105,7 @@ impl CompressedCsr<()> {
     /// still-resident source) into `stats.build_bytes_peak`, so the
     /// harness's peak-memory column reflects the conversion it ran.
     pub fn from_compact_with_stats(g: &CompactCsr, stats: &mut crate::stream::BuildStats) -> Self {
-        let (c, converter_peak) = Self::encode_parts(g, Vec::new());
+        let (c, converter_peak) = Self::encode_parts(g);
         let src = g.memory_footprint().total_bytes();
         stats.build_bytes_peak = stats.build_bytes_peak.max(src + converter_peak);
         c
@@ -200,21 +115,14 @@ impl CompressedCsr<()> {
 impl<W: EdgeWeight> CompressedCsr<W> {
     /// Losslessly encode a weighted graph; weights stay an uncompressed
     /// neighbor-parallel array (they carry no exploitable sortedness).
-    pub fn from_weighted(g: &WeightedCsr<W>) -> Self {
-        let (c, _) = CompressedCsr::encode_parts(g.structure(), g.raw_weights().to_vec());
-        Self {
-            offsets: c.offsets,
-            byte_offsets: c.byte_offsets,
-            arena: c.arena,
-            weights: c.weights,
-            max_deg: c.max_deg,
-            min_deg: c.min_deg,
-        }
+    pub fn from_weighted(g: &CompactCsr<W>) -> Self {
+        Self::encode_parts(g).0
     }
 
     /// Shared encoder: returns the graph and the converter's transient
     /// allocation peak (length array + persistent outputs).
-    fn encode_parts(g: &CompactCsr, weights: Vec<W>) -> (CompressedCsr<W>, usize) {
+    fn encode_parts(g: &CompactCsr<W>) -> (Self, usize) {
+        let weights = g.raw_weights().to_vec();
         let n = g.n();
         let lens: Vec<usize> = (0..n as u32)
             .into_par_iter()
@@ -248,9 +156,9 @@ impl<W: EdgeWeight> CompressedCsr<W> {
             + std::mem::size_of_val(weights.as_slice());
         let graph = CompressedCsr {
             offsets: g.raw_offsets().clone(),
-            byte_offsets: narrow_offsets(byte_offsets),
-            arena: Arena::Owned(arena),
-            weights,
+            byte_offsets: Offsets::narrowest(byte_offsets),
+            arena: arena.into(),
+            weights: weights.into(),
             max_deg: g.max_degree(),
             min_deg: g.min_degree(),
         };
@@ -263,8 +171,8 @@ impl<W: EdgeWeight> CompressedCsr<W> {
     pub(crate) fn from_encoded_parts(
         offsets: Offsets,
         byte_offsets: Offsets,
-        arena: Arena,
-        weights: Vec<W>,
+        arena: Storage<u8>,
+        weights: Storage<W>,
     ) -> Self {
         let n = offsets.len().saturating_sub(1);
         let (max_deg, min_deg) = degree_extremes(n, |i| offsets.get(i));
@@ -298,8 +206,8 @@ impl<W: EdgeWeight> CompressedCsr<W> {
     }
 
     /// Decode back into the weighted raw-array representation.
-    pub fn to_weighted(&self) -> WeightedCsr<W> {
-        WeightedCsr::from_parts(self.to_compact(), self.weights.clone())
+    pub fn to_weighted(&self) -> CompactCsr<W> {
+        self.to_compact().with_weights(self.weights.to_vec())
     }
 
     /// Number of vertices `n`.
@@ -330,7 +238,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
     /// Total encoded neighbor bytes (the arena length).
     #[inline]
     pub fn encoded_bytes(&self) -> usize {
-        self.arena.bytes().len()
+        self.arena.len()
     }
 
     /// A block decoder positioned at `v`'s encoded run.
@@ -338,7 +246,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
     pub fn decoder(&self, v: u32) -> varint::Decoder<'_> {
         let s = self.byte_offsets.get(v as usize);
         let e = self.byte_offsets.get(v as usize + 1);
-        varint::Decoder::new(&self.arena.bytes()[s..e], self.degree(v) as usize)
+        varint::Decoder::new(&self.arena[s..e], self.degree(v) as usize)
     }
 
     /// Strictly check that `v`'s encoded run is structurally well-formed
@@ -348,7 +256,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
     pub fn validate_encoded_run(&self, v: u32) -> bool {
         let s = self.byte_offsets.get(v as usize);
         let e = self.byte_offsets.get(v as usize + 1);
-        varint::validate_run(&self.arena.bytes()[s..e], self.degree(v) as usize)
+        varint::validate_run(&self.arena[s..e], self.degree(v) as usize)
     }
 
     /// Decode `v`'s full adjacency and hand it to `f` as a sorted slice,
@@ -418,7 +326,7 @@ impl<W: EdgeWeight> CompressedCsr<W> {
     }
 
     pub(crate) fn arena_bytes(&self) -> &[u8] {
-        self.arena.bytes()
+        &self.arena
     }
 }
 
@@ -514,7 +422,7 @@ impl<W: EdgeWeight> GraphView for CompressedCsr<W> {
 
     #[inline]
     fn prefetch_neighbors(&self, v: u32) {
-        let bytes = self.arena.bytes();
+        let bytes = &self.arena;
         let s = self.byte_offsets.get(v as usize);
         if s < bytes.len() {
             prefetch_read(&bytes[s]);
@@ -528,11 +436,19 @@ impl<W: EdgeWeight> GraphView for CompressedCsr<W> {
             // No raw neighbor array — the arena is the adjacency store.
             neighbor_width: 4,
             neighbor_count: 0,
-            encoded_bytes: self.arena.owned_bytes(),
-            encoded_mapped_bytes: self.arena.mapped_bytes(),
+            encoded_bytes: if self.arena.is_mapped() {
+                0
+            } else {
+                self.arena.len()
+            },
+            encoded_mapped_bytes: if self.arena.is_mapped() {
+                self.arena.len()
+            } else {
+                0
+            },
             aux_bytes: self.byte_offsets.width() * self.byte_offsets.len()
                 + self.decode_scratch_budget(),
-            weight_bytes: std::mem::size_of_val(self.weights.as_slice()),
+            weight_bytes: std::mem::size_of_val::<[W]>(&self.weights),
         }
     }
 
@@ -614,6 +530,10 @@ mod tests {
                     GraphView::neighbors(&c, v).collect::<Vec<_>>(),
                     g.neighbors(v)
                 );
+                assert!(c
+                    .weighted_neighbors(v)
+                    .map(|(u, ())| u)
+                    .eq(g.neighbors(v).to_vec()));
             }
             assert_eq!(c.to_compact(), g);
         }

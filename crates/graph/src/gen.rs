@@ -20,7 +20,6 @@ use crate::stream::{
     build_compact_with_stats, build_weighted_with_stats, BuildStats, ChunkFn, EdgeSink, EdgeSource,
 };
 use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 use pgc_primitives::{hash_mix, SplitMix64};
 
 /// A recipe for a synthetic graph.
@@ -258,7 +257,7 @@ pub fn generate_compressed_with_stats(
 /// (bit-identical structure) plus the replay-exact seeded weight
 /// stream in `[1, 10)`, converted into `W`. Like every generator build,
 /// this streams through the two-pass engine with no edge buffering.
-pub fn generate_weighted<W: EdgeWeight>(spec: &GraphSpec, seed: u64) -> WeightedCsr<W> {
+pub fn generate_weighted<W: EdgeWeight>(spec: &GraphSpec, seed: u64) -> CompactCsr<W> {
     generate_weighted_with_stats(spec, seed).0
 }
 
@@ -266,7 +265,7 @@ pub fn generate_weighted<W: EdgeWeight>(spec: &GraphSpec, seed: u64) -> Weighted
 pub fn generate_weighted_with_stats<W: EdgeWeight>(
     spec: &GraphSpec,
     seed: u64,
-) -> (WeightedCsr<W>, BuildStats) {
+) -> (CompactCsr<W>, BuildStats) {
     build_weighted_with_stats(&SpecSource::new(spec.clone(), seed))
         .expect("generator replay cannot fail")
 }
@@ -704,7 +703,7 @@ mod tests {
             GraphSpec::ErdosRenyi { n: 300, m: 900 },
         ] {
             let wg = generate_weighted::<f64>(&spec, 17);
-            assert_eq!(wg.structure(), &generate(&spec, 17), "{spec:?}");
+            assert_eq!(wg.clone().into_structure(), generate(&spec, 17), "{spec:?}");
             // Generated weights land in [1, 10) and are symmetric.
             for (u, v, w) in crate::view::WeightedView::weighted_edges(&wg) {
                 assert!((1.0..10.0).contains(&w), "weight {w} out of range");

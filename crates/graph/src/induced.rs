@@ -235,7 +235,7 @@ impl<'a, G: WeightedView> Iterator for InducedWeightedNeighbors<'a, G> {
 /// Zero-copy weighted passthrough: an induced view of a weighted base is
 /// itself a [`WeightedView`] — edge weights are borrowed from the base,
 /// only the vertex ids are remapped. No weight (or adjacency) bytes are
-/// copied, so `G[U]` of a [`crate::WeightedCsr`] costs the same O(n)
+/// copied, so `G[U]` of a weighted [`crate::CompactCsr`] costs the same O(n)
 /// mask/remap words as the unweighted case.
 impl<'g, G: WeightedView> WeightedView for InducedView<'g, G> {
     type Weight = G::Weight;

@@ -55,7 +55,6 @@ use crate::compact::CompactCsr;
 use crate::stream::{build_compact, build_weighted, ChunkFn, EdgeSink, EdgeSource};
 use crate::view::{GraphView, WeightedView};
 use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -649,7 +648,7 @@ pub fn read_edge_list_path(path: &Path) -> std::io::Result<CompactCsr> {
 /// sequential scans and no edge buffering. A binary snapshot (sniffed by
 /// magic) loads on the fast path instead; its stored weight kind must
 /// match `W`.
-pub fn read_weighted_edge_list_path<W: EdgeWeight>(path: &Path) -> std::io::Result<WeightedCsr<W>> {
+pub fn read_weighted_edge_list_path<W: EdgeWeight>(path: &Path) -> std::io::Result<CompactCsr<W>> {
     if sniff_snapshot(path) {
         return crate::snapshot::load_weighted_snapshot::<W>(path);
     }
@@ -682,7 +681,7 @@ pub fn read_matrix_market_path(path: &Path) -> std::io::Result<CompactCsr> {
 /// snapshot (sniffed by magic) loads on the fast path instead.
 pub fn read_weighted_matrix_market_path<W: EdgeWeight>(
     path: &Path,
-) -> std::io::Result<WeightedCsr<W>> {
+) -> std::io::Result<CompactCsr<W>> {
     if sniff_snapshot(path) {
         return crate::snapshot::load_weighted_snapshot::<W>(path);
     }
@@ -718,7 +717,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> {
 /// [`read_weighted_edge_list_path`] for files.
 pub fn read_weighted_edge_list<W: EdgeWeight, R: BufRead>(
     reader: R,
-) -> std::io::Result<WeightedCsr<W>> {
+) -> std::io::Result<CompactCsr<W>> {
     let bytes = slurp(reader)?;
     build_weighted(&EdgeListSource::new(&bytes[..]))
 }
@@ -743,7 +742,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> std::io::Result<CompactCsr> 
 /// [`read_weighted_matrix_market_path`] for files.
 pub fn read_weighted_matrix_market<W: EdgeWeight, R: BufRead>(
     reader: R,
-) -> std::io::Result<WeightedCsr<W>> {
+) -> std::io::Result<CompactCsr<W>> {
     let bytes = slurp(reader)?;
     build_weighted(&MatrixMarketSource::new(&bytes[..])?)
 }
@@ -1267,9 +1266,9 @@ mod tests {
         assert!(g.has_edge(0, 2));
         // The same file read weighted keeps the values.
         let wg = read_weighted_matrix_market::<f64, _>(text.as_bytes()).unwrap();
-        assert_eq!(wg.structure(), &g);
         assert_eq!(wg.edge_weight(0, 1), Some(0.5));
         assert_eq!(wg.edge_weight(2, 0), Some(-2e3));
+        assert_eq!(wg.into_structure(), g);
     }
 
     #[test]

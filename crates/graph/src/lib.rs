@@ -10,18 +10,17 @@
 //!   instantiation; `u32`/`f32`/`f64` carry real weights), and the
 //!   [`WeightedView`] trait extending [`GraphView`] with
 //!   weighted-neighbor iteration,
-//! * [`compact`] — [`CompactCsr`], the default representation: the paper's
-//!   CSR (§II-A) with `u32` offsets whenever `2m < u32::MAX` (half the
-//!   offset memory of machine-word offsets) and a transparent wide
-//!   fallback,
-//! * [`weighted`] — [`WeightedCsr`], the weights-augmented default:
-//!   struct-of-arrays (a `CompactCsr` plus one neighbor-parallel weights
-//!   array), so unweighted traversals never touch weight bytes,
+//! * [`compact`] — [`CompactCsr<W>`], the one flat representation: the
+//!   paper's CSR (§II-A) with `u32` offsets whenever `2m < u32::MAX` (half
+//!   the offset memory of machine-word offsets) and a transparent wide
+//!   fallback, plus a neighbor-parallel weights array (zero-sized for the
+//!   default `W = ()`); its arrays are owned or mapped in place from a
+//!   snapshot file,
 //! * [`induced`] — [`InducedView`], a zero-copy induced-subgraph view
 //!   (vertex mask + remap) over any other view,
 //! * [`stream`] — the [`EdgeSource`] trait (re-playable chunked arc
 //!   streams) and the two-pass parallel builder that constructs a
-//!   [`CompactCsr`] or [`WeightedCsr`] without materializing an arc list,
+//!   [`CompactCsr`] (weighted or not) without materializing an arc list,
 //! * [`builder`] — [`EdgeListBuilder`], the buffered edge-list front end
 //!   (dedup, de-loop, symmetrize), now the trivial buffered [`EdgeSource`]
 //!   over the same two-pass engine,
@@ -31,8 +30,8 @@
 //! * [`io`] — plain edge-list and DIMACS `.col` readers/writers so real
 //!   datasets can be used when available,
 //! * [`snapshot`] — the versioned, checksummed binary snapshot format
-//!   (arrays verbatim behind a 64-byte header) with buffered and
-//!   mmap-backed zero-copy loaders ([`MappedSnapshot`]); the text readers
+//!   (arrays verbatim behind a 64-byte header) with a copying loader and
+//!   an mmap-backed zero-copy one ([`CompactCsr::open`]); the text readers
 //!   sniff its magic so snapshots transparently take the fast path,
 //! * [`compressed`] — [`CompressedCsr`], delta-varint block-encoded
 //!   adjacencies in one contiguous byte arena (≥2× fewer neighbor bytes
@@ -51,11 +50,11 @@ pub mod induced;
 pub mod io;
 pub mod sharded;
 pub mod snapshot;
+mod storage;
 pub mod stream;
 pub mod transform;
 pub mod view;
 pub mod weight;
-pub mod weighted;
 
 pub use builder::EdgeListBuilder;
 pub use compact::CompactCsr;
@@ -68,10 +67,9 @@ pub use sharded::{
 };
 pub use snapshot::{
     inspect_snapshot, load_compressed_snapshot, load_snapshot, load_weighted_snapshot,
-    write_compressed_snapshot, write_snapshot, write_snapshot_compressed, write_weighted_snapshot,
-    MappedSnapshot, SnapshotInfo,
+    write_compressed_snapshot, write_snapshot, write_snapshot_compressed, MappedSnapshot,
+    SnapshotInfo,
 };
 pub use stream::{BuildStats, EdgeSink, EdgeSource};
 pub use view::{prefetch_read, GraphMemory, GraphView, WeightedView};
 pub use weight::EdgeWeight;
-pub use weighted::WeightedCsr;

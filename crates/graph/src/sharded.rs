@@ -32,19 +32,19 @@
 //! replay per shard** — so only a single shard's scatter arrays are ever
 //! live at once and peak build memory is `O(n + 2m/S + halo)` instead of
 //! `O(n + 2m)`. With [`ShardOptions::spill_dir`] set, each finished shard
-//! is serialized to `shard-NNNN.pgcs`, dropped, and `mmap`-reopened
-//! ([`MappedSnapshot`]), so even the *finished* local CSRs live in the
-//! page cache rather than the heap; halos always stay resident. One
-//! [`Peak`](crate::stream) ledger threads through every phase, so
+//! is serialized to `shard-NNNN.pgcs`, dropped, and `mmap`-reopened as a
+//! mapped [`CompactCsr`] ([`CompactCsr::open`]), so even the *finished*
+//! local CSRs live in the page cache rather than the heap; halos always
+//! stay resident. One [`Peak`](crate::stream) ledger threads through
+//! every phase, so
 //! [`BuildStats::build_bytes_peak`] reports the true high-water mark
 //! across shards (a max, never a sum).
 
 use crate::compact::CompactCsr;
-use crate::snapshot::{write_weighted_snapshot, MappedSnapshot, SNAPSHOT_EXT};
+use crate::snapshot::{write_snapshot, SNAPSHOT_EXT};
 use crate::stream::{as_atomic_u32s, grow_counts, BuildStats, EdgeSource, Peak, SharedMut};
 use crate::view::{GraphMemory, GraphView, WeightedView};
 use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 use pgc_par::for_each_chunk;
 use pgc_primitives::{co_sort_by_key, offsets_from_counts, reduce_sum_u64};
 use std::io;
@@ -114,45 +114,18 @@ impl<W: EdgeWeight> Halo<W> {
     }
 }
 
-/// Where one shard's local CSR lives.
-enum ShardStore<W: EdgeWeight> {
-    /// Owned in-heap arrays, as the builder produced them.
-    Resident { csr: CompactCsr, weights: Vec<W> },
-    /// Serialized to a `.pgcs` snapshot and served via mmap.
-    Spilled {
-        snap: MappedSnapshot<W>,
-        #[allow(dead_code)] // retained so diagnostics can name the file
-        path: PathBuf,
-    },
-}
-
+/// One shard: its local CSR (owned, or mapped from its spill file) and
+/// its halo.
 struct Shard<W: EdgeWeight> {
-    store: ShardStore<W>,
+    local: CompactCsr<W>,
     halo: Halo<W>,
 }
 
-impl<W: EdgeWeight> Shard<W> {
-    #[inline]
-    fn local_neighbors(&self, lv: u32) -> &[u32] {
-        match &self.store {
-            ShardStore::Resident { csr, .. } => csr.neighbors(lv),
-            ShardStore::Spilled { snap, .. } => snap.neighbor_slice(lv),
-        }
-    }
-
-    #[inline]
-    fn local_weights(&self, lv: u32) -> &[W] {
-        match &self.store {
-            ShardStore::Resident { csr, weights } => &weights[csr.arc_range(lv)],
-            ShardStore::Spilled { snap, .. } => snap.weight_slice(lv),
-        }
-    }
-}
-
 /// A graph split into vertex-range shards — each an independent local
-/// [`CompactCsr`] (or spilled snapshot) plus a cross-shard halo — exposed
-/// whole through [`GraphView`]/[`WeightedView`]. See the module docs for
-/// the layout and [`build_sharded`] for construction.
+/// [`CompactCsr`] (owned, or mapped from its spill file) plus a
+/// cross-shard halo — exposed whole through [`GraphView`]/[`WeightedView`].
+/// See the module docs for the layout and [`build_sharded`] for
+/// construction.
 pub struct ShardedCsr<W: EdgeWeight = ()> {
     /// `num_shards + 1` non-decreasing vertex ids; shard `s` owns
     /// `boundaries[s]..boundaries[s + 1]`.
@@ -204,7 +177,7 @@ impl<W: EdgeWeight> ShardedCsr<W> {
 
     /// True when shard `s`'s local CSR is snapshot-backed (spill mode).
     pub fn is_spilled(&self, s: usize) -> bool {
-        matches!(self.shards[s].store, ShardStore::Spilled { .. })
+        self.shards[s].local.is_mapped()
     }
 
     #[inline]
@@ -309,7 +282,7 @@ impl<W: EdgeWeight> GraphView for ShardedCsr<W> {
     #[inline]
     fn degree(&self, v: u32) -> u32 {
         let (shard, lv) = self.locate(v);
-        (shard.local_neighbors(lv).len() + shard.halo.arc_range(lv).len()) as u32
+        (shard.local.neighbors(lv).len() + shard.halo.arc_range(lv).len()) as u32
     }
 
     #[inline]
@@ -322,7 +295,7 @@ impl<W: EdgeWeight> GraphView for ShardedCsr<W> {
         let split = halo.partition_point(|&u| u < base);
         ShardedNeighbors {
             pre: halo[..split].iter(),
-            local: shard.local_neighbors(lv).iter(),
+            local: shard.local.neighbors(lv).iter(),
             post: halo[split..].iter(),
             base,
         }
@@ -344,7 +317,8 @@ impl<W: EdgeWeight> GraphView for ShardedCsr<W> {
         let shard = &self.shards[s];
         if v >= base && v < self.boundaries[s + 1] {
             shard
-                .local_neighbors(u - base)
+                .local
+                .neighbors(u - base)
                 .binary_search(&(v - base))
                 .is_ok()
         } else {
@@ -358,10 +332,7 @@ impl<W: EdgeWeight> GraphView for ShardedCsr<W> {
         let mut aux = self.boundaries.len() * 4;
         for (s, shard) in self.shards.iter().enumerate() {
             let sn = self.shard_range(s).len();
-            let width = match &shard.store {
-                ShardStore::Resident { csr, .. } => csr.offset_width(),
-                ShardStore::Spilled { snap, .. } => snap.memory_footprint().offset_width,
-            };
+            let width = shard.local.offset_width();
             offset_count += sn + 1;
             offset_bytes += (sn + 1) * width;
             aux += shard.halo.offsets.len() * std::mem::size_of::<usize>();
@@ -401,7 +372,7 @@ impl<W: EdgeWeight> WeightedView for ShardedCsr<W> {
         ShardedWeightedNeighbors {
             segs: [
                 (&halo_n[..split], &halo_w[..split]),
-                (shard.local_neighbors(lv), shard.local_weights(lv)),
+                (shard.local.neighbors(lv), shard.local.neighbor_weights(lv)),
                 (&halo_n[split..], &halo_w[split..]),
             ],
             base,
@@ -808,24 +779,17 @@ fn build_raw_sharded<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
             peak.free((sn + 1) * usize_w);
         }
 
-        let store = if let Some(dir) = &opts.spill_dir {
+        let mut local = csr.with_weights(loc_wts);
+        if let Some(dir) = &opts.spill_dir {
             let path = dir.join(format!("shard-{s:04}.{SNAPSHOT_EXT}"));
-            let wcsr = WeightedCsr::from_parts(csr, loc_wts);
-            write_weighted_snapshot(&wcsr, &path)?;
-            drop(wcsr);
+            write_snapshot(&local, &path)?;
             // The shard's finished arrays leave the heap; the mmap that
             // replaces them is page-cache-backed, not build memory.
+            local = CompactCsr::open(&path)?;
             peak.free(new_off_bytes + loc_kept * 4 + loc_kept * wweight);
-            let snap = MappedSnapshot::<W>::open(&path)?;
-            ShardStore::Spilled { snap, path }
-        } else {
-            ShardStore::Resident {
-                csr,
-                weights: loc_wts,
-            }
-        };
+        }
         shards.push(Shard {
-            store,
+            local,
             halo: Halo {
                 offsets: halo_offsets,
                 neighbors: halo_nbrs,
@@ -937,7 +901,7 @@ mod tests {
     fn weighted_sharded_matches_monolithic() {
         let spec = GraphSpec::ErdosRenyi { n: 200, m: 900 };
         let src = SpecSource::new(spec.clone(), 13);
-        let mono: WeightedCsr<f32> = crate::stream::build_weighted(&src).unwrap();
+        let mono: CompactCsr<f32> = crate::stream::build_weighted(&src).unwrap();
         let g: ShardedCsr<f32> = build_sharded_weighted(&src, &ShardOptions::resident(3)).unwrap();
         for v in mono.vertices() {
             assert_eq!(

@@ -1,13 +1,17 @@
-//! Versioned binary snapshots of [`CompactCsr`] / [`WeightedCsr`].
+//! Versioned binary snapshots of [`CompactCsr`] (weighted or not) and
+//! [`CompressedCsr`].
 //!
 //! Text ingestion is parse-bound (~100 MiB/s through the byte-level
 //! reader; see `benches/ingest.rs`), which makes every experiment re-pay
 //! the full decode cost of its input. A snapshot stores the CSR arrays
 //! **verbatim** behind a checksummed 64-byte header, so loading is a
 //! sequential read plus one checksum pass — memory-bandwidth-bound, an
-//! order of magnitude faster than parsing — and [`MappedSnapshot`] skips
-//! even the copy by `mmap`ing the file and serving [`GraphView`] /
-//! [`WeightedView`] straight from the page cache.
+//! order of magnitude faster than parsing — and [`CompactCsr::open`]
+//! skips even the copy by `mmap`ing the file and returning a
+//! [`CompactCsr`] whose arrays are the file's sections, served straight
+//! from the page cache. The copying and the mapping load share one
+//! validation (checksums, CSR shape, the header's Δ/δ against the
+//! arrays); one writer produces both versions.
 //!
 //! ## On-disk layout (version 1)
 //!
@@ -71,17 +75,16 @@
 //! arrays and the weights are copied out. Version 1 files are written
 //! and read byte-identically to before.
 
-#[cfg(debug_assertions)]
-use crate::compact::validate_csr_arrays;
 use crate::compact::{validate_csr_shape, CompactCsr, Offsets};
-use crate::compressed::{Arena, CompressedCsr};
-use crate::view::{prefetch_read, GraphMemory, GraphView, WeightedView};
+use crate::compressed::CompressedCsr;
+use crate::storage::{Backing, Pod, Storage};
+use crate::view::GraphView;
 use crate::weight::EdgeWeight;
-use crate::weighted::{SliceWeightedNeighbors, WeightedCsr};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Write};
-use std::marker::PhantomData;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The 8-byte magic every snapshot starts with.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PGCSNAP\0";
@@ -293,37 +296,35 @@ impl Header {
     /// Byte ranges of the (padded) sections and the expected file
     /// length. The byte-offsets section is zero-length in v1 layouts;
     /// in v2 layouts the `nbr` section holds the encoded arena instead
-    /// of a raw `u32` array.
+    /// of a raw `u32` array. Every size and sum is checked, so a header
+    /// that names sections past the address space is `InvalidData`.
     fn layout(&self) -> std::io::Result<SectionLayout> {
-        let n =
-            usize::try_from(self.n).map_err(|_| bad("snapshot n exceeds address space".into()))?;
-        let arcs = usize::try_from(self.num_arcs)
-            .map_err(|_| bad("snapshot num_arcs exceeds address space".into()))?;
-        let pad8 = |x: usize| x.div_ceil(8) * 8;
-        let off_len = (n + 1)
-            .checked_mul(self.offset_width as usize)
-            .ok_or_else(|| bad("snapshot offsets section overflows".into()))?;
-        let bo_len = if self.compressed() {
-            (n + 1)
-                .checked_mul(self.byte_offset_width())
-                .ok_or_else(|| bad("snapshot byte-offsets section overflows".into()))?
-        } else {
-            0
+        let too_big = |what: &str| bad(format!("snapshot {what} overflows the address space"));
+        let n = usize::try_from(self.n).map_err(|_| too_big("n"))?;
+        let arcs = usize::try_from(self.num_arcs).map_err(|_| too_big("num_arcs"))?;
+        let entries = n.checked_add(1).ok_or_else(|| too_big("offsets section"))?;
+        let sized = |count: usize, width: usize, what: &str| {
+            count.checked_mul(width).ok_or_else(|| too_big(what))
         };
-        let nbr_len = if self.compressed() {
-            usize::try_from(self.encoded_len)
-                .map_err(|_| bad("snapshot arena exceeds address space".into()))?
+        let off_len = sized(entries, self.offset_width as usize, "offsets section")?;
+        let (bo_len, nbr_len) = if self.compressed() {
+            let arena = usize::try_from(self.encoded_len).map_err(|_| too_big("arena"))?;
+            let bo = sized(entries, self.byte_offset_width(), "byte-offsets section")?;
+            (bo, arena)
         } else {
-            arcs.checked_mul(4)
-                .ok_or_else(|| bad("snapshot neighbors section overflows".into()))?
+            (0, sized(arcs, 4, "neighbors section")?)
         };
-        let w_len = arcs
-            .checked_mul(self.weight_width as usize)
-            .ok_or_else(|| bad("snapshot weights section overflows".into()))?;
+        let w_len = sized(arcs, self.weight_width as usize, "weights section")?;
+        // Each section starts where the previous one ends, padded to 8.
+        let after = |start: usize, len: usize| {
+            len.checked_next_multiple_of(8)
+                .and_then(|padded| start.checked_add(padded))
+                .ok_or_else(|| too_big("section table"))
+        };
         let off_start = HEADER_LEN;
-        let bo_start = off_start + pad8(off_len);
-        let nbr_start = bo_start + pad8(bo_len);
-        let w_start = nbr_start + pad8(nbr_len);
+        let bo_start = after(off_start, off_len)?;
+        let nbr_start = after(bo_start, bo_len)?;
+        let w_start = after(nbr_start, nbr_len)?;
         Ok(SectionLayout {
             off_start,
             off_len,
@@ -333,7 +334,7 @@ impl Header {
             nbr_len,
             w_start,
             w_len,
-            total: w_start + pad8(w_len),
+            total: after(w_start, w_len)?,
         })
     }
 }
@@ -369,19 +370,19 @@ impl SectionLayout {
 // ---------------------------------------------------------------------
 
 /// Raw bytes of a POD slice (`u32`/`usize`/`f32`/`f64`; `()` is empty).
-fn as_bytes<T: Copy>(v: &[T]) -> &[u8] {
-    // SAFETY: T is plain-old-data with no padding; reading its object
-    // representation is defined.
+fn as_bytes<T: Pod>(v: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` has no padding; reading its object representation
+    // is defined.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
 }
 
 /// Copy `count` `T`s out of `bytes` (alignment-free byte copy).
-fn vec_from_bytes<T: Copy + Default>(bytes: &[u8], count: usize) -> Vec<T> {
+fn vec_from_bytes<T: Pod>(bytes: &[u8], count: usize) -> Vec<T> {
     let size = std::mem::size_of::<T>();
-    debug_assert!(bytes.len() >= count * size);
+    assert!(bytes.len() >= count * size);
     let mut v = vec![T::default(); count];
-    // SAFETY: every bit pattern is a valid u32/usize/f32/f64, and the
-    // source range is in bounds by the layout checks.
+    // SAFETY: every bit pattern is a valid `T: Pod`, and the source range
+    // is in bounds (asserted above).
     unsafe {
         std::ptr::copy_nonoverlapping(bytes.as_ptr(), v.as_mut_ptr() as *mut u8, count * size);
     }
@@ -392,191 +393,92 @@ fn vec_from_bytes<T: Copy + Default>(bytes: &[u8], count: usize) -> Vec<T> {
 // Writing
 // ---------------------------------------------------------------------
 
-fn write_parts<Wr: Write>(
-    offsets: &Offsets,
-    neighbors: &[u32],
-    weight_kind: u8,
-    weight_bytes: &[u8],
-    max_deg: u32,
-    min_deg: u32,
-    w: &mut Wr,
-) -> std::io::Result<u64> {
-    let wide_tmp: Vec<u64>;
-    let (offset_width, off_bytes): (u8, &[u8]) = match offsets {
-        Offsets::Small(v) => (4, as_bytes(v)),
-        Offsets::Wide(v) => {
-            if std::mem::size_of::<usize>() == 8 {
-                (8, as_bytes(v))
-            } else {
-                wide_tmp = v.iter().map(|&x| x as u64).collect();
-                (8, as_bytes(&wide_tmp))
-            }
-        }
-    };
-    let nbr_bytes = as_bytes(neighbors);
-    let n = offsets.len() as u64 - 1;
-    let weight_width = if neighbors.is_empty() {
-        // kind still recorded; width follows the kind table
-        match weight_kind {
-            0 => 0,
-            1 | 2 => 4,
-            _ => 8,
-        }
-    } else {
-        (weight_bytes.len() / neighbors.len()) as u8
-    };
-    let mut payload = FNV_OFFSET;
-    payload = hash_section(payload, off_bytes);
-    payload = hash_section(payload, nbr_bytes);
-    payload = hash_section(payload, weight_bytes);
-    let header = Header {
-        offset_width,
-        weight_kind,
-        weight_width,
-        flags: 0,
-        n,
-        num_arcs: neighbors.len() as u64,
-        max_deg,
-        min_deg,
-        payload_checksum: payload,
-        encoded_len: 0,
-    };
-    w.write_all(&header.encode())?;
-    let mut written = HEADER_LEN as u64;
-    const PAD: [u8; 8] = [0; 8];
-    for section in [off_bytes, nbr_bytes, weight_bytes] {
-        w.write_all(section)?;
-        let pad = (8 - section.len() % 8) % 8;
-        w.write_all(&PAD[..pad])?;
-        written += (section.len() + pad) as u64;
+/// An offsets array as file bytes: its entry width (4 or 8) and the
+/// entries, widened to `u64` on hosts whose `usize` is narrower.
+fn offset_bytes(o: &Offsets) -> (u8, Cow<'_, [u8]>) {
+    match o {
+        Offsets::Small(v) => (4, Cow::Borrowed(as_bytes(v))),
+        Offsets::Wide(v) if std::mem::size_of::<usize>() == 8 => (8, Cow::Borrowed(as_bytes(v))),
+        Offsets::Wide(v) => (
+            8,
+            v.iter().flat_map(|&x| (x as u64).to_ne_bytes()).collect(),
+        ),
     }
-    Ok(written)
 }
 
-/// Serialize a [`CompressedCsr`]'s parts as a version-2 snapshot.
-#[allow(clippy::too_many_arguments)]
-fn write_compressed_parts<Wr: Write>(
+/// The one snapshot writer: the header, then the offsets, byte-offsets
+/// (v2 only), neighbors-or-arena and weights sections, each zero-padded
+/// to 8 bytes. `byte_offsets` is `Some` exactly for a version-2 file,
+/// whose `neighbors` section is the encoded arena. Returns the bytes
+/// written.
+fn write_parts<W: EdgeWeight, Wr: Write>(
+    g: &impl GraphView,
     offsets: &Offsets,
-    byte_offsets: &Offsets,
-    arena: &[u8],
-    weight_kind: u8,
-    weight_bytes: &[u8],
-    num_arcs: usize,
-    max_deg: u32,
-    min_deg: u32,
+    byte_offsets: Option<&Offsets>,
+    neighbors: &[u8],
+    weights: &[W],
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    let off_tmp: Vec<u64>;
-    let (offset_width, off_bytes): (u8, &[u8]) = match offsets {
-        Offsets::Small(v) => (4, as_bytes(v)),
-        Offsets::Wide(v) => {
-            if std::mem::size_of::<usize>() == 8 {
-                (8, as_bytes(v))
-            } else {
-                off_tmp = v.iter().map(|&x| x as u64).collect();
-                (8, as_bytes(&off_tmp))
-            }
-        }
+    let (offset_width, off) = offset_bytes(offsets);
+    let (flags, bo) = match byte_offsets.map(offset_bytes) {
+        None => (0, Cow::Borrowed(&[][..])),
+        Some((4, bo)) => (FLAG_COMPRESSED, bo),
+        Some((_, bo)) => (FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS, bo),
     };
-    let bo_tmp: Vec<u64>;
-    let (mut flags, bo_bytes): (u8, &[u8]) = match byte_offsets {
-        Offsets::Small(v) => (FLAG_COMPRESSED, as_bytes(v)),
-        Offsets::Wide(v) => {
-            if std::mem::size_of::<usize>() == 8 {
-                (FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS, as_bytes(v))
-            } else {
-                bo_tmp = v.iter().map(|&x| x as u64).collect();
-                (FLAG_COMPRESSED | FLAG_WIDE_BYTE_OFFSETS, as_bytes(&bo_tmp))
-            }
-        }
-    };
-    flags &= KNOWN_FLAGS;
-    let weight_width = weight_bytes.len().checked_div(num_arcs).map_or(
-        match weight_kind {
-            0 => 0,
-            1 | 2 => 4,
-            _ => 8,
-        },
-        |w| w as u8,
-    );
-    let mut payload = FNV_OFFSET;
-    for section in [off_bytes, bo_bytes, arena, weight_bytes] {
-        payload = hash_section(payload, section);
-    }
+    let sections = [&off[..], &bo[..], neighbors, as_bytes(weights)];
     let header = Header {
         offset_width,
-        weight_kind,
-        weight_width,
+        weight_kind: W::SNAPSHOT_KIND,
+        weight_width: std::mem::size_of::<W>() as u8,
         flags,
-        n: offsets.len() as u64 - 1,
-        num_arcs: num_arcs as u64,
-        max_deg,
-        min_deg,
-        payload_checksum: payload,
-        encoded_len: arena.len() as u64,
+        n: g.n() as u64,
+        num_arcs: g.num_arcs() as u64,
+        max_deg: g.max_degree(),
+        min_deg: g.min_degree(),
+        payload_checksum: sections.iter().fold(FNV_OFFSET, |h, s| hash_section(h, s)),
+        encoded_len: if flags == 0 {
+            0
+        } else {
+            neighbors.len() as u64
+        },
     };
     w.write_all(&header.encode())?;
     let mut written = HEADER_LEN as u64;
-    const PAD: [u8; 8] = [0; 8];
-    for section in [off_bytes, bo_bytes, arena, weight_bytes] {
+    for section in sections {
+        let pad = section.len().next_multiple_of(8) - section.len();
         w.write_all(section)?;
-        let pad = (8 - section.len() % 8) % 8;
-        w.write_all(&PAD[..pad])?;
+        w.write_all(&[0; 8][..pad])?;
         written += (section.len() + pad) as u64;
     }
     Ok(written)
 }
 
-/// Serialize an unweighted graph to `w`. Returns the bytes written.
-pub fn write_snapshot_to<Wr: Write>(g: &CompactCsr, w: &mut Wr) -> std::io::Result<u64> {
-    write_parts(
-        g.raw_offsets(),
-        g.raw_neighbors(),
-        0,
-        &[],
-        g.max_degree(),
-        g.min_degree(),
-        w,
-    )
-}
-
-/// Serialize an unweighted graph to a file (buffered). Returns the bytes
-/// written.
-pub fn write_snapshot(g: &CompactCsr, path: &Path) -> std::io::Result<u64> {
+/// Run a writer against a buffered new file at `path`.
+fn write_file(
+    path: &Path,
+    write: impl FnOnce(&mut std::io::BufWriter<File>) -> std::io::Result<u64>,
+) -> std::io::Result<u64> {
     let mut w = std::io::BufWriter::new(File::create(path)?);
-    let bytes = write_snapshot_to(g, &mut w)?;
+    let bytes = write(&mut w)?;
     w.flush()?;
     Ok(bytes)
 }
 
-/// Serialize a weighted graph to `w`. Returns the bytes written. With the
-/// unit payload this writes exactly an unweighted snapshot.
-pub fn write_weighted_snapshot_to<W: EdgeWeight, Wr: Write>(
-    g: &WeightedCsr<W>,
+/// Serialize a graph and its weights to `w` as a version-1 snapshot.
+/// Returns the bytes written. With the unit payload this is an
+/// unweighted snapshot.
+pub fn write_snapshot_to<W: EdgeWeight, Wr: Write>(
+    g: &CompactCsr<W>,
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    let s = g.structure();
-    write_parts(
-        s.raw_offsets(),
-        s.raw_neighbors(),
-        W::SNAPSHOT_KIND,
-        as_bytes(g.raw_weights()),
-        s.max_degree(),
-        s.min_degree(),
-        w,
-    )
+    let nbrs = as_bytes(g.raw_neighbors());
+    write_parts(g, g.raw_offsets(), None, nbrs, g.raw_weights(), w)
 }
 
-/// Serialize a weighted graph to a file (buffered). Returns the bytes
+/// Serialize a graph to a file (buffered, version 1). Returns the bytes
 /// written.
-pub fn write_weighted_snapshot<W: EdgeWeight>(
-    g: &WeightedCsr<W>,
-    path: &Path,
-) -> std::io::Result<u64> {
-    let mut w = std::io::BufWriter::new(File::create(path)?);
-    let bytes = write_weighted_snapshot_to(g, &mut w)?;
-    w.flush()?;
-    Ok(bytes)
+pub fn write_snapshot<W: EdgeWeight>(g: &CompactCsr<W>, path: &Path) -> std::io::Result<u64> {
+    write_file(path, |w| write_snapshot_to(g, w))
 }
 
 /// Serialize an already-compressed graph to `w` as a version-2 snapshot
@@ -586,17 +488,8 @@ pub fn write_compressed_snapshot_to<W: EdgeWeight, Wr: Write>(
     g: &CompressedCsr<W>,
     w: &mut Wr,
 ) -> std::io::Result<u64> {
-    write_compressed_parts(
-        g.raw_offsets(),
-        g.raw_byte_offsets(),
-        g.arena_bytes(),
-        W::SNAPSHOT_KIND,
-        as_bytes(g.raw_weights()),
-        g.num_arcs(),
-        GraphView::max_degree(g),
-        GraphView::min_degree(g),
-        w,
-    )
+    let bo = Some(g.raw_byte_offsets());
+    write_parts(g, g.raw_offsets(), bo, g.arena_bytes(), g.raw_weights(), w)
 }
 
 /// Serialize an already-compressed graph to a file (buffered, version 2).
@@ -605,10 +498,7 @@ pub fn write_compressed_snapshot<W: EdgeWeight>(
     g: &CompressedCsr<W>,
     path: &Path,
 ) -> std::io::Result<u64> {
-    let mut w = std::io::BufWriter::new(File::create(path)?);
-    let bytes = write_compressed_snapshot_to(g, &mut w)?;
-    w.flush()?;
-    Ok(bytes)
+    write_file(path, |w| write_compressed_snapshot_to(g, w))
 }
 
 /// Encode a raw-array graph and write it as a version-2 compressed
@@ -619,12 +509,13 @@ pub fn write_snapshot_compressed(g: &CompactCsr, path: &Path) -> std::io::Result
 }
 
 // ---------------------------------------------------------------------
-// Loading (buffered, fully verified)
+// Loading
 // ---------------------------------------------------------------------
 
-/// Decode the header, check both checksums and the exact file length,
-/// and hand back `(header, layout)`.
-fn verify(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
+/// Decode the header, check both checksums, the exact file length, and
+/// that the stored payload kind loads as `W` (the unit payload accepts
+/// any kind and skips the weights); hand back `(header, layout)`.
+fn verify<W: EdgeWeight>(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
     let header = Header::decode(bytes)?;
     let layout = header.layout()?;
     if bytes.len() != layout.total {
@@ -645,66 +536,90 @@ fn verify(bytes: &[u8]) -> std::io::Result<(Header, SectionLayout)> {
             header.payload_checksum
         )));
     }
+    if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
+        return Err(bad(format!(
+            "snapshot weight kind {} does not match the requested payload (kind {})",
+            header.weight_kind,
+            W::SNAPSHOT_KIND
+        )));
+    }
     Ok((header, layout))
 }
 
-/// Copy the v2 byte-offsets section out into plain `usize`s.
-fn read_byte_offsets(
-    bytes: &[u8],
-    header: &Header,
-    layout: &SectionLayout,
-) -> std::io::Result<Vec<usize>> {
-    let n = header.n as usize;
-    let bo_bytes = &bytes[layout.bo_start..layout.bo_start + layout.bo_len];
-    let bo: Vec<usize> = if header.byte_offset_width() == 4 {
-        vec_from_bytes::<u32>(bo_bytes, n + 1)
-            .into_iter()
-            .map(|x| x as usize)
-            .collect()
-    } else {
-        let wide: Vec<u64> = vec_from_bytes(bo_bytes, n + 1);
-        let mut out = Vec::with_capacity(n + 1);
-        for x in wide {
-            out.push(usize::try_from(x).map_err(|_| {
-                bad("wide snapshot byte offset exceeds this platform's usize".into())
-            })?);
-        }
-        out
-    };
-    // Monotonicity + arena bound, checked before any decode slices it.
-    if bo.first() != Some(&0)
-        || bo.windows(2).any(|w| w[0] > w[1])
-        || bo.last() != Some(&layout.nbr_len)
-    {
-        return Err(bad(
-            "snapshot byte offsets are not monotone within the arena".into(),
-        ));
+/// The cached Δ/δ the header records must be the arrays' own: the
+/// algorithms size palettes and bounds from them.
+fn check_extremes(header: &Header, max_deg: u32, min_deg: u32) -> std::io::Result<()> {
+    if (max_deg, min_deg) != (header.max_deg, header.min_deg) {
+        return Err(bad(format!(
+            "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={max_deg}, δ={min_deg})",
+            header.max_deg, header.min_deg
+        )));
     }
-    Ok(bo)
+    Ok(())
+}
+
+/// An offsets array must run from 0 up to `end` without decreasing.
+fn check_monotone(o: &Offsets, end: usize, what: &str) -> std::io::Result<()> {
+    let n = o.len() - 1;
+    if o.get(0) != 0 || (0..n).any(|i| o.get(i) > o.get(i + 1)) || o.get(n) != end {
+        return Err(bad(format!("snapshot {what} are not monotone")));
+    }
+    Ok(())
+}
+
+/// Where a loader takes a snapshot's arrays from: copied out of bytes
+/// read into memory, or borrowed in place from a mapped file.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Copy(&'a [u8]),
+    Map(&'a Arc<Backing>),
+}
+
+impl Source<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Source::Copy(bytes) => bytes,
+            Source::Map(backing) => backing.bytes(),
+        }
+    }
+
+    /// `count` values of `T` starting `start` bytes into the file.
+    fn array<T: Pod>(self, start: usize, count: usize) -> Storage<T> {
+        match self {
+            Source::Copy(bytes) => vec_from_bytes(&bytes[start..], count).into(),
+            Source::Map(backing) => Storage::mapped(backing, start, count),
+        }
+    }
+
+    /// `count` offsets of `width` bytes each, starting `start` bytes in.
+    fn offsets(self, width: usize, start: usize, count: usize) -> std::io::Result<Offsets> {
+        if width == 4 {
+            return Ok(Offsets::Small(self.array(start, count)));
+        }
+        if std::mem::size_of::<usize>() == 8 {
+            return Ok(Offsets::Wide(self.array(start, count)));
+        }
+        let wide: Vec<u64> = vec_from_bytes(&self.bytes()[start..], count);
+        let narrow: Result<Vec<usize>, _> = wide.into_iter().map(usize::try_from).collect();
+        let narrow =
+            narrow.map_err(|_| bad("wide snapshot offset exceeds this platform's usize".into()))?;
+        Ok(Offsets::Wide(narrow.into()))
+    }
 }
 
 /// Decode a v2 arena into a raw neighbor array (parallel, each vertex
-/// into its disjoint output range). `get`/`bo` must already be verified
-/// monotone and in bounds. Each run's block structure is strictly
-/// validated against its declared degree before decoding, so a
+/// into its disjoint output range). Each run's block structure is
+/// strictly validated against its declared degree before decoding, so a
 /// corrupt-but-checksum-valid file (truncated run, lying `dlen`) errors
 /// instead of decoding garbage or panicking.
-fn decode_arena(
-    n: usize,
-    arcs: usize,
-    get: &(impl Fn(usize) -> usize + Sync),
-    bo: &[usize],
-    arena: &[u8],
-) -> std::io::Result<Vec<u32>> {
+fn decode_arena(offsets: &Offsets, bo: &Offsets, arena: &[u8]) -> std::io::Result<Vec<u32>> {
     use rayon::prelude::*;
-    if (0..n).any(|i| get(i) > get(i + 1)) || get(n) != arcs {
-        return Err(bad("snapshot offsets are not monotone".into()));
-    }
-    let mut neighbors = vec![0u32; arcs];
+    let n = offsets.len() - 1;
+    let mut neighbors = vec![0u32; offsets.get(n)];
     let ptr = crate::compressed::SharedMut(neighbors.as_mut_ptr());
     let ok = (0..n).into_par_iter().all(|v| {
-        let (s, e) = (get(v), get(v + 1));
-        let run = &arena[bo[v]..bo[v + 1]];
+        let (s, e) = (offsets.get(v), offsets.get(v + 1));
+        let run = &arena[bo.get(v)..bo.get(v + 1)];
         if !pgc_primitives::varint::validate_run(run, e - s) {
             return false;
         }
@@ -724,67 +639,49 @@ fn decode_arena(
     Ok(neighbors)
 }
 
-/// Copy the offsets section out into an [`Offsets`] array.
-fn read_offsets(bytes: &[u8], header: &Header, layout: &SectionLayout) -> std::io::Result<Offsets> {
-    let n = header.n as usize;
-    let off_bytes = &bytes[layout.off_start..layout.off_start + layout.off_len];
-    if header.offset_width == 4 {
-        Ok(Offsets::Small(vec_from_bytes::<u32>(off_bytes, n + 1)))
-    } else {
-        let wide: Vec<u64> = vec_from_bytes(off_bytes, n + 1);
-        let mut out = Vec::with_capacity(n + 1);
-        for x in wide {
-            out.push(
-                usize::try_from(x).map_err(|_| {
-                    bad("wide snapshot offset exceeds this platform's usize".into())
-                })?,
-            );
-        }
-        Ok(Offsets::Wide(out))
-    }
-}
-
-fn materialize(
-    bytes: &[u8],
+/// The offsets and byte offsets of a verified v2 file, each checked
+/// monotone within its array.
+fn v2_offsets(
+    src: Source<'_>,
     header: &Header,
     layout: &SectionLayout,
-) -> std::io::Result<CompactCsr> {
-    let n = header.n as usize;
-    let arcs = header.num_arcs as usize;
-    let offsets = read_offsets(bytes, header, layout)?;
-    let get = |i: usize| match &offsets {
-        Offsets::Small(o) => o[i] as usize,
-        Offsets::Wide(o) => o[i],
-    };
-    let neighbors: Vec<u32> = if header.compressed() {
-        let bo = read_byte_offsets(bytes, header, layout)?;
-        let arena = &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len];
-        decode_arena(n, arcs, &get, &bo, arena)?
+) -> std::io::Result<(Offsets, Offsets)> {
+    let count = header.n as usize + 1;
+    let offsets = src.offsets(header.offset_width as usize, layout.off_start, count)?;
+    check_monotone(&offsets, header.num_arcs as usize, "offsets")?;
+    let bo = src.offsets(header.byte_offset_width(), layout.bo_start, count)?;
+    check_monotone(&bo, layout.nbr_len, "byte offsets")?;
+    Ok((offsets, bo))
+}
+
+/// The one load of a verified file into a [`CompactCsr`], copied or
+/// mapped: read (or decode) the arrays, then check the CSR shape (an
+/// O(n + m) sweep: monotone offsets, sorted in-range loop-free
+/// adjacencies) and the header's Δ/δ against the arrays. Debug builds
+/// add the O(m log Δ) symmetry cross-check; in release the payload
+/// checksum vouches for the writer, which only serializes
+/// already-validated graphs.
+fn load_csr<W: EdgeWeight>(
+    src: Source<'_>,
+    header: &Header,
+    layout: &SectionLayout,
+) -> std::io::Result<CompactCsr<W>> {
+    let invalid = |e: String| bad(format!("snapshot holds an invalid CSR: {e}"));
+    let (n, arcs) = (header.n as usize, header.num_arcs as usize);
+    let (offsets, neighbors) = if header.compressed() {
+        let (offsets, bo) = v2_offsets(src, header, layout)?;
+        let arena = &src.bytes()[layout.nbr_start..][..layout.nbr_len];
+        let neighbors = decode_arena(&offsets, &bo, arena)?;
+        (offsets, neighbors.into())
     } else {
-        vec_from_bytes(
-            &bytes[layout.nbr_start..layout.nbr_start + layout.nbr_len],
-            arcs,
-        )
+        let offsets = src.offsets(header.offset_width as usize, layout.off_start, n + 1)?;
+        (offsets, src.array(layout.nbr_start, arcs))
     };
-    // Always: the O(n + m) shape sweep (monotone offsets, sorted in-range
-    // loop-free adjacencies). Debug builds add the O(m log Δ) symmetry
-    // cross-check; in release the payload checksum vouches for the writer,
-    // which only serializes already-validated graphs.
-    validate_csr_shape(n + 1, get, &neighbors)
-        .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
+    validate_csr_shape(n + 1, |i| offsets.get(i), &neighbors).map_err(invalid)?;
+    let g = CompactCsr::from_storage(offsets, neighbors, src.array(layout.w_start, arcs));
     #[cfg(debug_assertions)]
-    validate_csr_arrays(n + 1, get, &neighbors)
-        .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-    let g = CompactCsr::from_offsets(offsets, neighbors);
-    if g.max_degree() != header.max_deg || g.min_degree() != header.min_deg {
-        return Err(bad(format!(
-            "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={}, δ={})",
-            header.max_deg,
-            header.min_deg,
-            g.max_degree(),
-            g.min_degree()
-        )));
-    }
+    g.validate().map_err(invalid)?;
+    check_extremes(header, g.max_degree(), g.min_degree())?;
     Ok(g)
 }
 
@@ -792,32 +689,15 @@ fn materialize(
 /// both checksums and all CSR invariants. Weighted snapshots load their
 /// structure (the weights section is skipped).
 pub fn load_snapshot_bytes(bytes: &[u8]) -> std::io::Result<CompactCsr> {
-    let (header, layout) = verify(bytes)?;
-    materialize(bytes, &header, &layout)
+    load_weighted_snapshot_bytes(bytes)
 }
 
 /// Load a weighted graph from in-memory snapshot bytes. The payload type
 /// must match the stored kind ([`EdgeWeight::SNAPSHOT_KIND`]); the unit
 /// payload accepts any snapshot and carries no weight bytes.
-pub fn load_weighted_snapshot_bytes<W: EdgeWeight>(
-    bytes: &[u8],
-) -> std::io::Result<WeightedCsr<W>> {
-    let (header, layout) = verify(bytes)?;
-    if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
-        return Err(bad(format!(
-            "snapshot weight kind {} does not match the requested payload (kind {})",
-            header.weight_kind,
-            W::SNAPSHOT_KIND
-        )));
-    }
-    let arcs = header.num_arcs as usize;
-    let csr = materialize(bytes, &header, &layout)?;
-    let weights: Vec<W> = if W::IS_UNIT {
-        vec![W::default(); arcs]
-    } else {
-        vec_from_bytes(&bytes[layout.w_start..layout.w_start + layout.w_len], arcs)
-    };
-    Ok(WeightedCsr::from_parts(csr, weights))
+pub fn load_weighted_snapshot_bytes<W: EdgeWeight>(bytes: &[u8]) -> std::io::Result<CompactCsr<W>> {
+    let (header, layout) = verify::<W>(bytes)?;
+    load_csr(Source::Copy(bytes), &header, &layout)
 }
 
 fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
@@ -835,8 +715,34 @@ pub fn load_snapshot(path: &Path) -> std::io::Result<CompactCsr> {
 
 /// Load a weighted graph from a snapshot file (one sequential read,
 /// fully verified).
-pub fn load_weighted_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<WeightedCsr<W>> {
+pub fn load_weighted_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<CompactCsr<W>> {
     load_weighted_snapshot_bytes::<W>(&read_file(path)?)
+}
+
+/// The in-place view of a v1 snapshot: a [`CompactCsr`] whose arrays are
+/// a mapped file's sections ([`CompactCsr::open`]).
+pub type MappedSnapshot<W = ()> = CompactCsr<W>;
+
+impl<W: EdgeWeight> CompactCsr<W> {
+    /// Map a version-1 snapshot and serve its offsets, neighbors, and
+    /// weights **in place** (page-cache-backed, zero copy), after the
+    /// same checks as [`load_snapshot`]: both checksums, the CSR shape,
+    /// the header's Δ/δ, and the weight kind for non-unit `W`. Where
+    /// `mmap` is unavailable the file is read into an aligned buffer
+    /// instead. A version-2 file holds no raw neighbor array to map; load
+    /// it with [`load_snapshot`] or [`load_compressed_snapshot`].
+    pub fn open(path: &Path) -> std::io::Result<Self> {
+        let backing = Backing::open(path)?;
+        let (header, layout) = verify::<W>(backing.bytes())?;
+        if header.compressed() {
+            return Err(bad(
+                "compressed (v2) snapshot cannot be served as raw in-place arrays; \
+                 use load_compressed_snapshot or load_snapshot"
+                    .into(),
+            ));
+        }
+        load_csr(Source::Map(&backing), &header, &layout)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -894,72 +800,33 @@ fn validate_compressed<W: EdgeWeight>(g: &CompressedCsr<W>, n: usize) -> std::io
     Ok(())
 }
 
-fn open_backing(path: &Path) -> std::io::Result<Backing> {
-    #[cfg(unix)]
-    {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        match mm::Mapping::map(&file, len) {
-            Ok(m) => Ok(Backing::Mapped(m)),
-            Err(_) => Ok(Backing::Owned(AlignedBytes::read_from(path)?)),
-        }
-    }
-    #[cfg(not(unix))]
-    {
-        Ok(Backing::Owned(AlignedBytes::read_from(path)?))
-    }
-}
-
 /// Load a snapshot into a [`CompressedCsr`], verifying checksums and the
 /// full CSR contract. A version-2 file is served **zero-copy**: the
 /// encoded arena stays in the `mmap` (page-cache-backed) and only the
-/// two offset arrays and the weights are copied out. A version-1 file
-/// is materialized and losslessly encoded, so either version works.
+/// two offset arrays and the weights are copied out. A version-1 file is
+/// mapped and losslessly encoded, so either version works.
 pub fn load_compressed_snapshot<W: EdgeWeight>(path: &Path) -> std::io::Result<CompressedCsr<W>> {
-    let backing = open_backing(path)?;
-    let (header, layout) = verify(backing.bytes())?;
-    if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
-        return Err(bad(format!(
-            "snapshot weight kind {} does not match the requested payload (kind {})",
-            header.weight_kind,
-            W::SNAPSHOT_KIND
-        )));
-    }
+    let backing = Backing::open(path)?;
+    let (header, layout) = verify::<W>(backing.bytes())?;
+    let src = Source::Map(&backing);
     if !header.compressed() {
-        let wg = load_weighted_snapshot_bytes::<W>(backing.bytes())?;
-        return Ok(CompressedCsr::from_weighted(&wg));
+        return Ok(CompressedCsr::from_weighted(&load_csr(
+            src, &header, &layout,
+        )?));
     }
-    let n = header.n as usize;
-    let arcs = header.num_arcs as usize;
-    let bytes = backing.bytes();
-    let offsets = read_offsets(bytes, &header, &layout)?;
-    let get = |i: usize| offsets.get(i);
-    if (0..n).any(|i| get(i) > get(i + 1)) || get(n) != arcs {
-        return Err(bad("snapshot offsets are not monotone".into()));
-    }
-    let byte_offsets =
-        crate::compressed::narrow_offsets(read_byte_offsets(bytes, &header, &layout)?);
-    let weights: Vec<W> = if W::IS_UNIT {
-        vec![W::default(); arcs]
-    } else {
-        vec_from_bytes(&bytes[layout.w_start..layout.w_start + layout.w_len], arcs)
-    };
-    let arena = Arena::Mapped {
-        backing: std::sync::Arc::new(backing),
-        start: layout.nbr_start,
-        len: layout.nbr_len,
-    };
+    // Only the arena stays in the mapping; the offsets and weights are
+    // copied out, so the heap footprint counts them truthfully.
+    let copy = Source::Copy(backing.bytes());
+    let (offsets, byte_offsets) = v2_offsets(copy, &header, &layout)?;
+    let arena = src.array(layout.nbr_start, layout.nbr_len);
+    let weights = copy.array(layout.w_start, header.num_arcs as usize);
     let g = CompressedCsr::from_encoded_parts(offsets, byte_offsets, arena, weights);
-    validate_compressed(&g, n)?;
-    if GraphView::max_degree(&g) != header.max_deg || GraphView::min_degree(&g) != header.min_deg {
-        return Err(bad(format!(
-            "snapshot degree extremes (Δ={}, δ={}) disagree with arrays (Δ={}, δ={})",
-            header.max_deg,
-            header.min_deg,
-            GraphView::max_degree(&g),
-            GraphView::min_degree(&g)
-        )));
-    }
+    validate_compressed(&g, header.n as usize)?;
+    check_extremes(
+        &header,
+        GraphView::max_degree(&g),
+        GraphView::min_degree(&g),
+    )?;
     Ok(g)
 }
 
@@ -1019,7 +886,7 @@ impl SnapshotInfo {
 /// file is reported rather than described.
 pub fn inspect_snapshot(path: &Path) -> std::io::Result<SnapshotInfo> {
     let bytes = read_file(path)?;
-    let (header, layout) = verify(&bytes)?;
+    let (header, layout) = verify::<()>(&bytes)?;
     Ok(SnapshotInfo {
         version: if header.compressed() {
             SNAPSHOT_VERSION_COMPRESSED
@@ -1047,346 +914,12 @@ pub fn inspect_snapshot(path: &Path) -> std::io::Result<SnapshotInfo> {
     })
 }
 
-// ---------------------------------------------------------------------
-// mmap-backed zero-copy load
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-pub(crate) mod mm {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A read-only private file mapping (raw `mmap`, unmapped on drop).
-    pub struct Mapping {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ and never mutated.
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        pub fn map(file: &File, len: usize) -> std::io::Result<Self> {
-            if len == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "cannot map an empty file",
-                ));
-            }
-            // SAFETY: a fresh PROT_READ/MAP_PRIVATE mapping of a file we
-            // hold open; failure is reported via MAP_FAILED.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(Self {
-                ptr: ptr as *const u8,
-                len,
-            })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: the mapping covers len bytes for self's lifetime.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: exactly the region returned by mmap.
-            unsafe { munmap(self.ptr as *mut core::ffi::c_void, self.len) };
-        }
-    }
-}
-
-/// 8-byte-aligned owned byte buffer — the non-unix (or mmap-failure)
-/// fallback backing store, aligned so the in-place casts stay valid.
-pub(crate) struct AlignedBytes {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AlignedBytes {
-    fn read_from(path: &Path) -> std::io::Result<Self> {
-        let mut f = File::open(path)?;
-        let len = f.metadata()?.len() as usize;
-        let mut words = vec![0u64; len.div_ceil(8)];
-        // SAFETY: the Vec<u64> owns at least `len` writable bytes.
-        let buf = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, len) };
-        f.read_exact(buf)?;
-        Ok(Self { words, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        // SAFETY: words owns >= len bytes.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
-    }
-}
-
-pub(crate) enum Backing {
-    #[cfg(unix)]
-    Mapped(mm::Mapping),
-    Owned(AlignedBytes),
-}
-
-impl Backing {
-    pub(crate) fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            Backing::Mapped(m) => m.bytes(),
-            Backing::Owned(b) => b.bytes(),
-        }
-    }
-}
-
-/// A snapshot served **in place**: the offsets, neighbors, and weights
-/// arrays are borrowed straight from an `mmap`ed file (page-cache-backed,
-/// zero copy) and exposed through [`GraphView`] / [`WeightedView`], so
-/// every algorithm in the workspace runs on it unchanged.
-///
-/// `open` verifies both checksums and the CSR invariants before handing
-/// the view out — one sequential pass over the mapping, after which
-/// traversal is as fast as an owned [`CompactCsr`]. On non-unix hosts
-/// (or if `mmap` fails) it transparently falls back to an owned aligned
-/// buffer with identical semantics.
-///
-/// The type parameter picks the weight payload; `MappedSnapshot<()>` (the
-/// default) reads any snapshot and serves unit weights.
-pub struct MappedSnapshot<W: EdgeWeight = ()> {
-    backing: Backing,
-    small_offsets: bool,
-    off_start: usize,
-    nbr_start: usize,
-    w_start: usize,
-    n: usize,
-    num_arcs: usize,
-    max_deg: u32,
-    min_deg: u32,
-    _payload: PhantomData<W>,
-}
-
-impl<W: EdgeWeight> MappedSnapshot<W> {
-    /// Map `path` and verify it end to end (checksums + CSR invariants +
-    /// weight-kind match for non-unit `W`).
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        Self::from_backing(open_backing(path)?)
-    }
-
-    fn from_backing(backing: Backing) -> std::io::Result<Self> {
-        let (header, layout) = verify(backing.bytes())?;
-        if header.compressed() {
-            return Err(bad(
-                "compressed (v2) snapshot cannot be served as raw in-place arrays; \
-                 use load_compressed_snapshot or load_snapshot"
-                    .into(),
-            ));
-        }
-        if !W::IS_UNIT && header.weight_kind != W::SNAPSHOT_KIND {
-            return Err(bad(format!(
-                "snapshot weight kind {} does not match the requested payload (kind {})",
-                header.weight_kind,
-                W::SNAPSHOT_KIND
-            )));
-        }
-        let s = Self {
-            small_offsets: header.offset_width == 4,
-            off_start: layout.off_start,
-            nbr_start: layout.nbr_start,
-            w_start: layout.w_start,
-            n: header.n as usize,
-            num_arcs: header.num_arcs as usize,
-            max_deg: header.max_deg,
-            min_deg: header.min_deg,
-            _payload: PhantomData,
-            backing,
-        };
-        // Same validation policy as the owned loader: linear shape sweep
-        // always, symmetry cross-check in debug builds.
-        validate_csr_shape(s.n + 1, |i| s.offset(i), s.neighbor_array())
-            .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-        #[cfg(debug_assertions)]
-        validate_csr_arrays(s.n + 1, |i| s.offset(i), s.neighbor_array())
-            .map_err(|e| bad(format!("snapshot holds an invalid CSR: {e}")))?;
-        Ok(s)
-    }
-
-    #[inline]
-    fn offset(&self, i: usize) -> usize {
-        let bytes = self.backing.bytes();
-        if self.small_offsets {
-            // SAFETY: section bounds checked at open; base is 8-aligned.
-            let o = unsafe {
-                std::slice::from_raw_parts(
-                    bytes.as_ptr().add(self.off_start) as *const u32,
-                    self.n + 1,
-                )
-            };
-            o[i] as usize
-        } else {
-            let o = unsafe {
-                std::slice::from_raw_parts(
-                    bytes.as_ptr().add(self.off_start) as *const u64,
-                    self.n + 1,
-                )
-            };
-            o[i] as usize
-        }
-    }
-
-    /// The whole neighbor array, borrowed from the mapping.
-    #[inline]
-    pub fn neighbor_array(&self) -> &[u32] {
-        let bytes = self.backing.bytes();
-        // SAFETY: section bounds checked at open; 4-aligned by layout.
-        unsafe {
-            std::slice::from_raw_parts(
-                bytes.as_ptr().add(self.nbr_start) as *const u32,
-                self.num_arcs,
-            )
-        }
-    }
-
-    fn weight_array(&self) -> &[W] {
-        if W::IS_UNIT {
-            // A ZST slice needs no storage.
-            return unsafe {
-                std::slice::from_raw_parts(std::ptr::NonNull::dangling().as_ptr(), self.num_arcs)
-            };
-        }
-        let bytes = self.backing.bytes();
-        // SAFETY: kind checked at open, section 8-aligned by layout.
-        unsafe {
-            std::slice::from_raw_parts(bytes.as_ptr().add(self.w_start) as *const W, self.num_arcs)
-        }
-    }
-
-    /// Sorted neighbor slice of `v`, borrowed from the mapping.
-    #[inline]
-    pub fn neighbor_slice(&self, v: u32) -> &[u32] {
-        &self.neighbor_array()[self.offset(v as usize)..self.offset(v as usize + 1)]
-    }
-
-    /// Weight slice parallel to [`neighbor_slice`](Self::neighbor_slice)
-    /// (a dangling-but-valid ZST slice for the unit payload). Used by the
-    /// sharded layer to serve spilled shards without re-materializing.
-    #[inline]
-    pub(crate) fn weight_slice(&self, v: u32) -> &[W] {
-        &self.weight_array()[self.offset(v as usize)..self.offset(v as usize + 1)]
-    }
-
-    /// Copy into an owned [`CompactCsr`] (e.g. to outlive the file).
-    pub fn to_compact(&self) -> CompactCsr {
-        let offsets: Vec<usize> = (0..=self.n).map(|i| self.offset(i)).collect();
-        CompactCsr::from_raw(offsets, self.neighbor_array().to_vec())
-    }
-}
-
-impl<W: EdgeWeight> GraphView for MappedSnapshot<W> {
-    type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, u32>>;
-
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn num_arcs(&self) -> usize {
-        self.num_arcs
-    }
-
-    #[inline]
-    fn degree(&self, v: u32) -> u32 {
-        (self.offset(v as usize + 1) - self.offset(v as usize)) as u32
-    }
-
-    #[inline]
-    fn neighbors(&self, v: u32) -> Self::Neighbors<'_> {
-        self.neighbor_slice(v).iter().copied()
-    }
-
-    #[inline]
-    fn max_degree(&self) -> u32 {
-        self.max_deg
-    }
-
-    #[inline]
-    fn min_degree(&self) -> u32 {
-        self.min_deg
-    }
-
-    fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbor_slice(u).binary_search(&v).is_ok()
-    }
-
-    #[inline]
-    fn prefetch_neighbors(&self, v: u32) {
-        let r = self.offset(v as usize);
-        if r < self.num_arcs {
-            prefetch_read(&self.neighbor_array()[r]);
-        }
-    }
-
-    fn memory_footprint(&self) -> GraphMemory {
-        GraphMemory {
-            offset_width: if self.small_offsets { 4 } else { 8 },
-            offset_count: self.n + 1,
-            neighbor_width: 4,
-            neighbor_count: self.num_arcs,
-            encoded_bytes: 0,
-            encoded_mapped_bytes: 0,
-            aux_bytes: 0,
-            weight_bytes: self.num_arcs * std::mem::size_of::<W>(),
-        }
-    }
-}
-
-impl<W: EdgeWeight> WeightedView for MappedSnapshot<W> {
-    type Weight = W;
-    type WeightedNeighbors<'a> = SliceWeightedNeighbors<'a, W>;
-
-    #[inline]
-    fn weighted_neighbors(&self, v: u32) -> SliceWeightedNeighbors<'_, W> {
-        let r = self.offset(v as usize)..self.offset(v as usize + 1);
-        SliceWeightedNeighbors::new(&self.neighbor_array()[r.clone()], &self.weight_array()[r])
-    }
-
-    fn edge_weight(&self, u: u32, v: u32) -> Option<W> {
-        let r = self.offset(u as usize)..self.offset(u as usize + 1);
-        let i = self.neighbor_array()[r.clone()].binary_search(&v).ok()?;
-        Some(self.weight_array()[r][i])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{from_edges, from_weighted_edges};
     use crate::gen::{generate, GraphSpec};
+    use crate::view::WeightedView;
 
     fn snap_bytes(g: &CompactCsr) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -1405,18 +938,18 @@ mod tests {
     fn round_trip_weighted() {
         let g = from_weighted_edges(5, &[(0u32, 1u32, 2.5f64), (1, 2, -4.0), (3, 4, 0.25)]);
         let mut buf = Vec::new();
-        write_weighted_snapshot_to(&g, &mut buf).unwrap();
+        write_snapshot_to(&g, &mut buf).unwrap();
         let back = load_weighted_snapshot_bytes::<f64>(&buf).unwrap();
         assert_eq!(back, g);
         // Structure-only load of a weighted snapshot works too.
-        assert_eq!(&load_snapshot_bytes(&buf).unwrap(), g.structure());
+        assert_eq!(load_snapshot_bytes(&buf).unwrap(), g.into_structure());
     }
 
     #[test]
     fn weight_kind_mismatch_rejected() {
         let g = from_weighted_edges(3, &[(0u32, 1u32, 2.5f32), (1, 2, 1.0)]);
         let mut buf = Vec::new();
-        write_weighted_snapshot_to(&g, &mut buf).unwrap();
+        write_snapshot_to(&g, &mut buf).unwrap();
         let err = load_weighted_snapshot_bytes::<f64>(&buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("kind"), "{err}");
@@ -1485,10 +1018,11 @@ mod tests {
         assert_eq!(m.num_arcs(), g.num_arcs());
         assert_eq!(GraphView::max_degree(&m), g.max_degree());
         assert_eq!(GraphView::min_degree(&m), g.min_degree());
+        assert!(m.is_mapped() && !g.is_mapped());
         for v in g.vertices() {
-            assert_eq!(m.neighbor_slice(v), g.neighbors(v));
+            assert_eq!(m.neighbors(v), g.neighbors(v));
         }
-        assert_eq!(m.to_compact(), g);
+        assert_eq!(m, g);
         assert!(m.has_edge(g.edges().next().unwrap().0, g.edges().next().unwrap().1));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1499,7 +1033,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pgc-snapw-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.pgcs");
-        write_weighted_snapshot(&g, &path).unwrap();
+        write_snapshot(&g, &path).unwrap();
         let m = MappedSnapshot::<f64>::open(&path).unwrap();
         assert_eq!(m.edge_weight(2, 1), Some(4.0));
         assert_eq!(
@@ -1609,7 +1143,7 @@ mod tests {
         let c = CompressedCsr::from_compact(&g);
         let mut buf = Vec::new();
         write_compressed_snapshot_to(&c, &mut buf).unwrap();
-        let (_, layout) = verify(&buf).unwrap();
+        let (_, layout) = verify::<()>(&buf).unwrap();
         // Overwrite the first block header's dlen so the run overruns
         // its slice, then re-seal payload + header checksums.
         buf[layout.nbr_start + 4..layout.nbr_start + 6].copy_from_slice(&u16::MAX.to_le_bytes());
@@ -1673,6 +1207,61 @@ mod tests {
         assert!(i2.compression_ratio() < 1.0);
         assert!(i2.byte_offsets_bytes > 0);
         assert!(inspect_snapshot(&dir.join("missing.pgcs")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Re-seal the header checksum after editing header bytes.
+    fn reseal_header(buf: &mut [u8]) {
+        let ck = hash_section(FNV_OFFSET, &buf[..56]);
+        buf[56..64].copy_from_slice(&ck.to_ne_bytes());
+    }
+
+    #[test]
+    fn header_degree_extremes_checked_by_every_v1_load() {
+        // A checksum-valid v1 file whose header claims Δ = 1: the mapped
+        // open must reject it like the copying load, not serve a graph
+        // whose Δ undersizes every palette.
+        let g = generate(&GraphSpec::BarabasiAlbert { n: 400, attach: 4 }, 2);
+        assert!(g.max_degree() > 1);
+        let mut buf = snap_bytes(&g);
+        buf[32..36].copy_from_slice(&1u32.to_ne_bytes());
+        reseal_header(&mut buf);
+        let dir = std::env::temp_dir().join(format!("pgc-snapdeg-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lying-delta.pgcs");
+        std::fs::write(&path, &buf).unwrap();
+        let copied = load_snapshot_bytes(&buf).unwrap_err();
+        let mapped = MappedSnapshot::<()>::open(&path).unwrap_err();
+        for err in [copied, mapped] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("degree extremes"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn section_table_overflow_is_invalid_data_not_panic() {
+        // A v2 header whose arena length wraps the section sum back below
+        // the neighbors' start, with the file cut to the wrapped total.
+        let g = generate(&GraphSpec::ErdosRenyi { n: 100, m: 300 }, 4);
+        let mut buf = Vec::new();
+        write_compressed_snapshot_to(&CompressedCsr::from_compact(&g), &mut buf).unwrap();
+        let (_, layout) = verify::<()>(&buf).unwrap();
+        buf[48..56].copy_from_slice(&(u64::MAX - 7).to_ne_bytes());
+        reseal_header(&mut buf);
+        buf.truncate(layout.nbr_start - 8);
+        let dir = std::env::temp_dir().join(format!("pgc-snapwrap-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wrapped.pgcs");
+        std::fs::write(&path, &buf).unwrap();
+        let errs = [
+            load_snapshot_bytes(&buf).unwrap_err(),
+            load_compressed_snapshot::<()>(&path).unwrap_err(),
+            inspect_snapshot(&path).unwrap_err(),
+        ];
+        for err in errs {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 //! Streaming two-pass CSR construction: the [`EdgeSource`] trait and the
 //! parallel builder that turns any re-playable arc stream into a
-//! [`CompactCsr`] or a [`WeightedCsr`] **without materializing an arc
+//! [`CompactCsr`] (weighted or not) **without materializing an arc
 //! list**.
 //!
 //! The paper targets graphs where memory, not compute, binds (§II-A's
@@ -58,7 +58,6 @@
 
 use crate::compact::{CompactCsr, Offsets};
 use crate::weight::EdgeWeight;
-use crate::weighted::WeightedCsr;
 use pgc_par::for_each_chunk;
 use pgc_primitives::{co_sort_by_key, offsets_from_counts, reduce_sum_u64, OffsetWord};
 use rayon::prelude::*;
@@ -257,23 +256,23 @@ pub fn build_compact_with_stats<S: EdgeSource + ?Sized>(
     Ok((raw.into_compact(), stats))
 }
 
-/// Build a [`WeightedCsr`] from a weighted source through the same
+/// Build a weighted [`CompactCsr`] from a weighted source through the same
 /// two-pass engine: weights are scattered in pass 2 through the shared
 /// per-vertex cursors, co-permuted by the per-vertex sort, and duplicate
 /// arcs keep the max weight. The structural arrays are bit-identical to
 /// the unweighted build of the same pair stream.
 pub fn build_weighted<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
-) -> io::Result<WeightedCsr<W>> {
+) -> io::Result<CompactCsr<W>> {
     build_weighted_with_stats(src).map(|(g, _)| g)
 }
 
 /// [`build_weighted`] returning the [`BuildStats`] instrumentation too.
 pub fn build_weighted_with_stats<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
-) -> io::Result<(WeightedCsr<W>, BuildStats)> {
+) -> io::Result<(CompactCsr<W>, BuildStats)> {
     let (raw, weights, stats) = build_raw::<W, S>(src, u32::MAX as usize)?;
-    Ok((WeightedCsr::from_parts(raw.into_compact(), weights), stats))
+    Ok((raw.into_compact().with_weights(weights), stats))
 }
 
 /// Test hook: run the builder with an artificially small `u32` offset
@@ -293,9 +292,9 @@ pub fn build_compact_with_offset_limit<S: EdgeSource + ?Sized>(
 pub fn build_weighted_with_offset_limit<W: EdgeWeight, S: EdgeSource<W> + ?Sized>(
     src: &S,
     u32_limit: usize,
-) -> io::Result<(WeightedCsr<W>, BuildStats)> {
+) -> io::Result<(CompactCsr<W>, BuildStats)> {
     let (raw, weights, stats) = build_raw::<W, S>(src, u32_limit)?;
-    Ok((WeightedCsr::from_parts(raw.into_compact(), weights), stats))
+    Ok((raw.into_compact().with_weights(weights), stats))
 }
 
 // ---------------------------------------------------------------------
@@ -318,10 +317,10 @@ impl RawCsr {
     fn into_compact(self) -> CompactCsr {
         match self {
             RawCsr::Small { offsets, neighbors } => {
-                CompactCsr::from_offsets(Offsets::Small(offsets), neighbors)
+                CompactCsr::from_offsets(Offsets::Small(offsets.into()), neighbors)
             }
             RawCsr::Wide { offsets, neighbors } => {
-                CompactCsr::from_offsets(Offsets::Wide(offsets), neighbors)
+                CompactCsr::from_offsets(Offsets::Wide(offsets.into()), neighbors)
             }
         }
     }
@@ -824,8 +823,8 @@ mod tests {
 
     /// Both graphs hold the same offsets (compared as `usize`, so a
     /// `u32` and a `usize` offset array can be equal) and neighbors.
-    fn assert_same_arrays(a: &CompactCsr, b: &CompactCsr) {
-        let offsets = |g: &CompactCsr| -> Vec<usize> {
+    fn assert_same_arrays<W: EdgeWeight>(a: &CompactCsr<W>, b: &CompactCsr<W>) {
+        let offsets = |g: &CompactCsr<W>| -> Vec<usize> {
             (0..=g.n()).map(|i| g.raw_offsets().get(i)).collect()
         };
         assert_eq!(offsets(a), offsets(b), "offsets differ");
@@ -983,7 +982,7 @@ mod tests {
         };
         let (wg, wstats) = build_weighted_with_stats(&wsrc).unwrap();
         let ug = build_compact(&usrc).unwrap();
-        assert_eq!(wg.structure(), &ug);
+        assert_eq!(wg.into_structure(), ug);
         assert_eq!(wstats.weight_width, 4);
         assert!(
             wstats.build_bytes_peak < wstats.arc_list_baseline_bytes(),
@@ -1001,14 +1000,9 @@ mod tests {
         let src = WVecSource { n: 9, edges };
         let small = build_weighted(&src).unwrap();
         let (wide, _) = build_weighted_with_offset_limit(&src, 1).unwrap();
-        assert_eq!(
-            wide.structure().offset_width(),
-            std::mem::size_of::<usize>()
-        );
-        assert_same_arrays(wide.structure(), small.structure());
-        for v in 0..9u32 {
-            assert_eq!(wide.neighbor_weights(v), small.neighbor_weights(v));
-        }
+        assert_eq!(wide.offset_width(), std::mem::size_of::<usize>());
+        assert_same_arrays(&wide, &small);
+        assert_eq!(wide.raw_weights(), small.raw_weights());
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub struct GraphMemory {
     /// a view carries on top of the arrays it borrows.
     pub aux_bytes: usize,
     /// Bytes of the edge-payload (weights) array, when the representation
-    /// carries one ([`crate::WeightedCsr`]). Kept separate from
+    /// carries one (a weighted [`crate::CompactCsr`]). Kept separate from
     /// [`aux_bytes`](Self::aux_bytes) so tables can show the weighted
     /// surcharge next to the paper's structural budget; always 0 for
     /// unweighted layouts and for the zero-sized `()` payload.
@@ -147,11 +147,11 @@ impl GraphMemory {
 /// `Sync` is a supertrait: all hot loops traverse the graph from many
 /// threads at once.
 ///
-/// Implementations: [`crate::CompactCsr`] (the default; 4-byte offsets
-/// when `2m < u32::MAX`, machine-word offsets beyond),
-/// [`crate::WeightedCsr`], [`crate::CompressedCsr`], [`crate::ShardedCsr`],
-/// [`crate::MappedSnapshot`], and [`crate::InducedView`] (zero-copy
-/// induced subgraph of any other view).
+/// Implementations: [`crate::CompactCsr`] (the default, weighted or not,
+/// owned or mapped from a snapshot; 4-byte offsets when `2m < u32::MAX`,
+/// machine-word offsets beyond), [`crate::CompressedCsr`],
+/// [`crate::ShardedCsr`], and [`crate::InducedView`] (zero-copy induced
+/// subgraph of any other view).
 pub trait GraphView: Sync {
     /// Iterator over the sorted neighbor ids of one vertex.
     type Neighbors<'a>: Iterator<Item = u32> + 'a
@@ -274,12 +274,12 @@ pub trait GraphView: Sync {
 /// additionally yields each neighbor's edge weight in the same sorted
 /// order. Weights are symmetric: `w(u, v) == w(v, u)`.
 ///
-/// Implementations: [`crate::WeightedCsr`] (struct-of-arrays weights next
-/// to a [`crate::CompactCsr`]), [`crate::InducedView`] over any weighted
-/// base (zero-copy passthrough), and the unweighted CSR types themselves
-/// with the unit payload `W = ()` — where every weight reads as `1.0`, so
-/// weighted workloads (matching weight, weighted density) collapse to
-/// their unweighted meanings.
+/// Implementations: [`crate::CompactCsr`] (struct-of-arrays weights next
+/// to the neighbor array), [`crate::CompressedCsr`], [`crate::ShardedCsr`],
+/// and [`crate::InducedView`] over any weighted base (zero-copy
+/// passthrough). With the unit payload `W = ()` every weight reads as
+/// `1.0`, so weighted workloads (matching weight, weighted density)
+/// collapse to their unweighted meanings.
 pub trait WeightedView: GraphView {
     /// The edge payload type.
     type Weight: EdgeWeight;
@@ -358,23 +358,6 @@ impl<G: WeightedView> Iterator for WeightedEdgeIter<'_, G> {
             }
             self.inner = Some(self.g.weighted_neighbors(self.v));
         }
-    }
-}
-
-/// Adapter giving any unweighted neighbor iterator unit weights — how the
-/// plain CSR types satisfy [`WeightedView`] with `Weight = ()`.
-pub struct UnitWeights<I>(pub I);
-
-impl<I: Iterator<Item = u32>> Iterator for UnitWeights<I> {
-    type Item = (u32, ());
-
-    #[inline]
-    fn next(&mut self) -> Option<(u32, ())> {
-        self.0.next().map(|u| (u, ()))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
     }
 }
 

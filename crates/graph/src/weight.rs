@@ -13,7 +13,7 @@
 //!   the pre-generic engine. [`EdgeWeight::IS_UNIT`] lets the builder
 //!   statically skip the weight-carrying sort path too.
 //! * `W = f32 / f64 / u32` — real edge weights, stored struct-of-arrays
-//!   next to the neighbor array (see [`WeightedCsr`](crate::WeightedCsr))
+//!   next to the neighbor array (see [`CompactCsr`](crate::CompactCsr))
 //!   so the unweighted traversal loops never stream weight bytes through
 //!   the cache.
 //!
@@ -21,6 +21,7 @@
 //! order-insensitive fold, so parallel scatter order cannot leak into the
 //! result), mirroring how the unweighted builder collapses duplicates.
 
+use crate::storage::Pod;
 use std::cmp::Ordering;
 
 /// An edge payload the ingestion stack can carry: copyable, thread-safe,
@@ -31,7 +32,7 @@ use std::cmp::Ordering;
 /// `u32`, `f32`, and `f64`.
 ///
 /// [`IS_UNIT`]: EdgeWeight::IS_UNIT
-pub trait EdgeWeight: Copy + Default + PartialEq + Send + Sync + std::fmt::Debug + 'static {
+pub trait EdgeWeight: Pod + PartialEq + Send + Sync + std::fmt::Debug {
     /// True only for `()`: lets generic code statically skip weight work
     /// (the compiler erases the dead branch, keeping the unweighted path
     /// zero-cost).

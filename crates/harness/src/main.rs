@@ -215,7 +215,7 @@ fn snapshot_command(args: &[String]) -> ! {
         .to_ascii_lowercase();
     let result = (|| -> std::io::Result<(usize, usize, u64)> {
         if weighted {
-            let g: pgc_graph::WeightedCsr<f64> = match ext.as_str() {
+            let g: pgc_graph::CompactCsr<f64> = match ext.as_str() {
                 "mtx" => pgc_graph::io::read_weighted_matrix_market_path(input)?,
                 "col" => {
                     return Err(std::io::Error::new(
@@ -231,7 +231,7 @@ fn snapshot_command(args: &[String]) -> ! {
                     output,
                 )?
             } else {
-                pgc_graph::write_weighted_snapshot(&g, output)?
+                pgc_graph::write_snapshot(&g, output)?
             };
             Ok((g.n(), g.m(), bytes))
         } else {

@@ -9,7 +9,7 @@
 //! * [`primitives`] — work–depth compute primitives (§II-D),
 //! * [`graph`] — CSR graphs, payload-generic streaming two-pass ingestion
 //!   (`graph::stream::EdgeSource<W>` with `W = ()` as the zero-cost
-//!   unweighted case), weighted graphs (`graph::WeightedCsr` behind
+//!   unweighted case), weighted graphs (`graph::CompactCsr<W>` behind
 //!   `graph::WeightedView`), generators, I/O, exact degeneracy
 //!   (§II-A/B),
 //! * [`order`] — vertex orderings incl. the ADG approximate degeneracy

@@ -4,7 +4,8 @@
 //!
 //! 1. **Round-trip fidelity** — write → load reproduces the exact CSR
 //!    (offsets, neighbors, weights) for arbitrary graphs, through both the
-//!    owned loader and the zero-copy mmap view.
+//!    owned loader and the zero-copy mmap view, with 4-byte offsets and
+//!    with the forced-wide 8-byte fallback.
 //! 2. **Algorithm transparency** — all 21 coloring algorithms and the
 //!    mining kernels produce bit-identical output on a snapshot-loaded
 //!    graph vs the originally built one. A snapshot is a representation
@@ -15,12 +16,13 @@
 
 use parallel_graph_coloring as pgc;
 use pgc::color::{run, verify, Algorithm, Params};
-use pgc::graph::builder::{from_edges, from_weighted_edges};
-use pgc::graph::gen::{generate, GraphSpec};
+use pgc::graph::builder::{from_edges, from_weighted_edges, EdgeListBuilder};
+use pgc::graph::gen::{generate, GraphSpec, SpecSource};
 use pgc::graph::snapshot::{
     is_snapshot, load_snapshot, load_snapshot_bytes, load_weighted_snapshot_bytes, write_snapshot,
-    write_snapshot_to, write_weighted_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
+    write_snapshot_to, MappedSnapshot, SNAPSHOT_EXT,
 };
+use pgc::graph::stream::{build_compact_with_offset_limit, EdgeSource};
 use pgc::graph::{CompactCsr, GraphView, WeightedView};
 use pgc::mining;
 use proptest::prelude::*;
@@ -49,6 +51,14 @@ fn assert_same_graph<A: GraphView, B: GraphView>(a: &A, b: &B) {
     }
 }
 
+/// The forced-wide build of `src`: the same graph with 8-byte offsets,
+/// the layout of graphs with `2m ≥ u32::MAX` arcs.
+fn wide(src: &impl EdgeSource) -> CompactCsr {
+    let (g, _) = build_compact_with_offset_limit(src, 0).unwrap();
+    assert_eq!(g.offset_width(), 8);
+    g
+}
+
 /// Write a graph to a uniquely named temp snapshot, run `f` on the path,
 /// then clean up (also on panic, via a drop guard).
 fn with_snapshot_file<R>(g: &CompactCsr, tag: &str, f: impl FnOnce(&std::path::Path) -> R) -> R {
@@ -74,12 +84,14 @@ proptest! {
     /// graphs, and the serialized prefix carries the sniffable magic.
     #[test]
     fn snapshot_round_trips_arbitrary_graphs((n, edges) in arb_edges(60, 240)) {
-        let g = from_edges(n, &edges);
-        let mut bytes = Vec::new();
-        write_snapshot_to(&g, &mut bytes).unwrap();
-        prop_assert!(is_snapshot(&bytes));
-        let back = load_snapshot_bytes(&bytes).unwrap();
-        assert_same_graph(&g, &back);
+        let mut b = EdgeListBuilder::new(n);
+        b.extend_edges(edges.iter().copied());
+        for g in [from_edges(n, &edges), wide(&b)] {
+            let mut bytes = Vec::new();
+            write_snapshot_to(&g, &mut bytes).unwrap();
+            prop_assert!(is_snapshot(&bytes));
+            prop_assert_eq!(load_snapshot_bytes(&bytes).unwrap(), g);
+        }
     }
 
     /// Weighted round-trip preserves the weight array bit-for-bit.
@@ -92,9 +104,9 @@ proptest! {
             .collect();
         let g = from_weighted_edges(n, &weighted);
         let mut bytes = Vec::new();
-        write_weighted_snapshot_to(&g, &mut bytes).unwrap();
+        write_snapshot_to(&g, &mut bytes).unwrap();
         let back = load_weighted_snapshot_bytes::<f64>(&bytes).unwrap();
-        assert_same_graph(g.structure(), back.structure());
+        assert_same_graph(&g, &back);
         prop_assert_eq!(g.raw_weights(), back.raw_weights());
     }
 
@@ -133,7 +145,9 @@ proptest! {
 }
 
 /// All 21 algorithms produce bit-identical colorings on the built graph,
-/// the snapshot-loaded copy, and the zero-copy mmap view.
+/// the snapshot-loaded copy, and the zero-copy mmap view — of both the
+/// narrow build and the forced-wide one, so the 8-byte offset sections
+/// are read in place too.
 #[test]
 fn all_algorithms_identical_on_snapshot_loaded_graphs() {
     let specs = [
@@ -144,36 +158,40 @@ fn all_algorithms_identical_on_snapshot_loaded_graphs() {
         GraphSpec::BarabasiAlbert { n: 600, attach: 6 },
     ];
     for (i, spec) in specs.iter().enumerate() {
-        let built = generate(spec, 7);
-        with_snapshot_file(&built, &format!("algos-{i}"), |path| {
-            let loaded = load_snapshot(path).unwrap();
-            let mapped = MappedSnapshot::<()>::open(path).unwrap();
-            assert_same_graph(&built, &loaded);
-            assert_same_graph(&built, &mapped);
-            let params = Params {
-                seed: 42,
-                ..Params::default()
-            };
-            for algo in Algorithm::all() {
-                let a = run(&built, algo, &params);
-                let b = run(&loaded, algo, &params);
-                let c = run(&mapped, algo, &params);
-                verify::assert_proper(&built, &a.colors);
-                assert_eq!(
-                    a.colors,
-                    b.colors,
-                    "{} differs between built and snapshot-loaded graphs",
-                    algo.name()
-                );
-                assert_eq!(
-                    a.colors,
-                    c.colors,
-                    "{} differs between built and mmap-viewed graphs",
-                    algo.name()
-                );
-                assert_eq!(a.num_colors, b.num_colors);
-            }
-        });
+        let narrow = generate(spec, 7);
+        let wide = wide(&SpecSource::new(spec.clone(), 7));
+        for (tag, built) in [("narrow", narrow), ("wide", wide)] {
+            with_snapshot_file(&built, &format!("algos-{i}-{tag}"), |path| {
+                let loaded = load_snapshot(path).unwrap();
+                let mapped = MappedSnapshot::<()>::open(path).unwrap();
+                assert!(mapped.is_mapped());
+                assert_eq!(loaded, built, "owned round trip");
+                assert_eq!(mapped, built, "mapped round trip");
+                let params = Params {
+                    seed: 42,
+                    ..Params::default()
+                };
+                for algo in Algorithm::all() {
+                    let a = run(&built, algo, &params);
+                    let b = run(&loaded, algo, &params);
+                    let c = run(&mapped, algo, &params);
+                    verify::assert_proper(&built, &a.colors);
+                    assert_eq!(
+                        a.colors,
+                        b.colors,
+                        "{} differs between built and snapshot-loaded graphs",
+                        algo.name()
+                    );
+                    assert_eq!(
+                        a.colors,
+                        c.colors,
+                        "{} differs between built and mmap-viewed graphs",
+                        algo.name()
+                    );
+                    assert_eq!(a.num_colors, b.num_colors);
+                }
+            });
+        }
     }
 }
 
@@ -221,9 +239,9 @@ fn mapped_weighted_view_matches_owned() {
         "pgc-test-{}-wmap.{SNAPSHOT_EXT}",
         std::process::id()
     ));
-    pgc::graph::write_weighted_snapshot(&g, &path).unwrap();
+    write_snapshot(&g, &path).unwrap();
     let mapped = MappedSnapshot::<f64>::open(&path).unwrap();
-    for v in g.structure().vertices() {
+    for v in g.vertices() {
         let owned: Vec<(u32, f64)> = g.weighted_neighbors(v).collect();
         let viewed: Vec<(u32, f64)> = mapped.weighted_neighbors(v).collect();
         assert_eq!(owned, viewed, "weighted adjacency mismatch at v={v}");

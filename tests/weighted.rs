@@ -20,7 +20,7 @@ use pgc::color::{run, Algorithm, Params};
 use pgc::graph::builder::{from_edges, EdgeListBuilder};
 use pgc::graph::gen::{generate, generate_weighted, GraphSpec};
 use pgc::graph::stream::{build_weighted_with_stats, ChunkFn, EdgeSource};
-use pgc::graph::{GraphView, WeightedCsr, WeightedView};
+use pgc::graph::{CompactCsr, GraphView, WeightedView};
 use pgc::mining::{greedy_weighted_matching, verify_matching};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -76,14 +76,13 @@ fn reference_weighted(n: usize, edges: &[(u32, u32, u32)]) -> (Vec<usize>, Vec<u
     (offsets, neighbors, weights)
 }
 
-fn assert_weighted_arrays(g: &WeightedCsr<u32>, n: usize, edges: &[(u32, u32, u32)]) {
+fn assert_weighted_arrays(g: &CompactCsr<u32>, n: usize, edges: &[(u32, u32, u32)]) {
     let (ref_offsets, ref_neighbors, ref_weights) = reference_weighted(n, edges);
-    let s = g.structure();
     let offsets: Vec<usize> = std::iter::once(0)
-        .chain(s.vertices().map(|v| s.arc_range(v).end))
+        .chain(g.vertices().map(|v| g.arc_range(v).end))
         .collect();
     assert_eq!(offsets, ref_offsets, "offsets differ");
-    assert_eq!(s.raw_neighbors(), &ref_neighbors[..], "neighbors differ");
+    assert_eq!(g.raw_neighbors(), &ref_neighbors[..], "neighbors differ");
     assert_eq!(g.raw_weights(), &ref_weights[..], "weights differ");
 }
 
@@ -131,7 +130,7 @@ proptest! {
         let (g, _) = build_weighted_with_stats(&src).unwrap();
         let pairs: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
         let unweighted = from_edges(n, &pairs);
-        prop_assert_eq!(g.structure(), &unweighted);
+        prop_assert_eq!(&g.clone().into_structure(), &unweighted);
         prop_assert_eq!(g.memory_footprint().weight_bytes, g.num_arcs() * 4);
         prop_assert_eq!(unweighted.memory_footprint().weight_bytes, 0);
 
@@ -204,7 +203,11 @@ fn all_algorithms_color_weighted_and_projection_identically() {
         let seed = 11 + i as u64;
         let wg = generate_weighted::<f32>(spec, seed);
         let plain = generate(spec, seed);
-        assert_eq!(wg.structure(), &plain, "{spec:?}: structures diverge");
+        assert_eq!(
+            wg.clone().into_structure(),
+            plain,
+            "{spec:?}: structures diverge"
+        );
         let algos = Algorithm::all();
         assert_eq!(algos.len(), 21, "the full algorithm roster");
         for algo in algos {
