@@ -8,11 +8,20 @@
 //! (Hasenplaugh et al.) — the whole point of the paper's ADG ordering is to
 //! bound `|P|` by `O(d log n + …)` (Lemma 7).
 //!
-//! Two interchangeable engines:
+//! Each vertex's color is a function of its predecessors' colors only, so
+//! for a fixed ρ JP's output *equals* sequential greedy coloring in
+//! descending-ρ order ([`crate::greedy::greedy_by_priority`]) on every
+//! schedule. Two engines compute it:
 //!
-//! * [`jp_color`] — asynchronous fork–join: completing a vertex spawns its
-//!   released successors as rayon tasks; closest to the paper's execution
-//!   model.
+//! * [`jp_color_in_order`] — the ordered sweep, behind the [`Jp`] colorer.
+//!   It walks the vertices in descending ρ through a window of pending
+//!   vertices, colored in parallel; one adjacency scan per attempt counts
+//!   the colored neighbors against the vertex's predecessor count and, once
+//!   they match, commits the first free color. Unready vertices stay in the
+//!   window, in order. This is Blelloch, Fineman and Shun's prefix scheme
+//!   ("Greedy sequential maximal independent set and matching are parallel
+//!   on average", SPAA 2012): no atomic read-modify-write, no per-vertex
+//!   task, and at width 1 exactly one greedy pass.
 //! * [`jp_color_levels_sharded`] — level-synchronous: colors the current
 //!   frontier, then the released set, round by round, with each round
 //!   grouped by the shard of a vertex-range partition.
@@ -20,9 +29,8 @@
 //!   round count, which equals the number of vertices on the longest `Gρ`
 //!   path — the measured "depth" used by the Table III experiment.
 //!
-//! JP with a fixed ρ is *schedule-deterministic*: each vertex's color is a
-//! function of its predecessors' colors only, so both engines (and any
-//! thread interleaving) produce bit-identical colorings.
+//! Both engines color a ready vertex with the same one-scan kernel, and both
+//! produce bit-identical colorings on any thread interleaving.
 
 use crate::colorer::{Colorer, Instrumentation};
 use crate::schedule::{degree_class, prefetch_dist};
@@ -30,7 +38,15 @@ use crate::{Algorithm, ColoringRun, Params, UNCOLORED};
 use pgc_graph::GraphView;
 use pgc_primitives::{FixedBitmap, JoinCounters};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU32, Ordering as AtOrd};
+
+/// Pending vertices per parallel strand in one sweep round. Past width 1
+/// a round's later chunks may wait on predecessors that earlier chunks
+/// color in the same round; a window of a few thousand per strand keeps
+/// those retries a small share of the scans. At width 1 the window is the
+/// whole sequence: every vertex is ready when its turn comes.
+const WINDOW_PER_STRAND: usize = 1 << 11;
 
 /// [`Colorer`] for the Jones–Plassmann family: any `Algorithm` whose
 /// [`ordering_kind`](Algorithm::ordering_kind) yields the JP priority
@@ -65,19 +81,43 @@ impl<G: GraphView> Colorer<G> for Jp {
             .expect("JP algorithms have an ordering");
         let mut instr = Instrumentation::default();
         let ord = instr.ordering(|| pgc_order::compute(g, &kind, params.seed));
-        let (colors, color_rounds) = instr.coloring(|| {
-            if params.jp_level_sync {
-                jp_color_levels(g, &ord.rho)
-            } else if let Some(counts) = &ord.pred_counts {
-                // §V-C: the ordering fused JP's Part-1 DAG construction.
-                (jp_color_with_counts(g, &ord.rho, counts), 0)
-            } else {
-                (jp_color(g, &ord.rho), 0)
-            }
+        let iterations = ord.stats.iterations;
+        let colors = instr.coloring(|| {
+            // §V-C: the ordering may have fused JP's Part-1 DAG construction.
+            let counts = ord
+                .pred_counts
+                .unwrap_or_else(|| predecessor_counts(g, &ord.rho));
+            let seq = descending_sequence(ord.levels.map(|l| l.seq), &ord.rho);
+            jp_color_in_order(g, &seq, &counts)
         });
-        instr.record_rounds(ord.stats.iterations + color_rounds, 0);
+        // The sweep's round count depends on the schedule; JP records none,
+        // so a run's instrumentation is the same at every width.
+        instr.record_rounds(iterations, 0);
         ColoringRun::new(self.algo, colors, instr)
     }
+}
+
+/// The vertices in descending ρ. A batched ordering's removal sequence,
+/// reversed, already is that order whenever ρ strictly decreases along it
+/// (ADG with sorted batches) — an O(n) check; otherwise sort.
+fn descending_sequence(removal: Option<Vec<u32>>, rho: &[u64]) -> Vec<u32> {
+    if let Some(mut seq) = removal {
+        seq.reverse();
+        let descends = (1..seq.len())
+            .into_par_iter()
+            .all(|i| rho[seq[i - 1] as usize] > rho[seq[i] as usize]);
+        if descends {
+            return seq;
+        }
+    }
+    by_descending_priority(rho)
+}
+
+/// All vertices sorted by descending ρ.
+fn by_descending_priority(rho: &[u64]) -> Vec<u32> {
+    let mut seq: Vec<u32> = (0..rho.len() as u32).collect();
+    seq.par_sort_unstable_by_key(|&v| Reverse(rho[v as usize]));
+    seq
 }
 
 /// Number of predecessors (higher-priority neighbors) per vertex — the
@@ -124,40 +164,95 @@ fn release_level<G: GraphView>(
         .collect()
 }
 
-/// `GetColor` (Alg. 3 lines 25–28): smallest color unused among the
-/// predecessors of `v`. The answer is at most `|pred(v)|`, so predecessor
-/// colors beyond the scratch capacity are irrelevant and dropped.
+/// `GetColor` (Alg. 3 lines 25–28) in one adjacency scan: count the colored
+/// neighbors of `v` and mark their colors in `scratch`. Only predecessors
+/// can be colored before `v`, so once the count reaches `pred` (the number
+/// of predecessors) every predecessor color is final, and the smallest
+/// unmarked color is `v`'s. `None` while some predecessor is uncolored.
+///
+/// The answer is at most `pred`, so colors above it are dropped; the
+/// scratch holds `pred + 1` bits and only their words are cleared.
 #[inline]
-fn get_color<G: GraphView>(
+fn first_free_color<G: GraphView>(
     g: &G,
-    rho: &[u64],
     colors: &[AtomicU32],
     v: u32,
+    pred: u32,
     scratch: &mut FixedBitmap,
-) -> u32 {
-    let rv = rho[v as usize];
-    let mut npred = 0usize;
+) -> Option<u32> {
+    let cap = pred as usize + 1;
+    scratch.ensure_len(cap);
+    let mut colored = 0u32;
     for u in g.neighbors(v) {
-        if rho[u as usize] > rv {
-            npred += 1;
-        }
-    }
-    scratch.clear_all();
-    scratch.ensure_len(npred + 1);
-    for u in g.neighbors(v) {
-        if rho[u as usize] > rv {
-            let c = colors[u as usize].load(AtOrd::Relaxed);
-            debug_assert_ne!(c, UNCOLORED, "predecessor {u} of {v} uncolored");
-            if (c as usize) <= npred {
+        let c = colors[u as usize].load(AtOrd::Relaxed);
+        if c != UNCOLORED {
+            colored += 1;
+            if (c as usize) < cap {
                 scratch.set(c as usize);
             }
         }
     }
-    scratch.first_zero_from(0) as u32
+    let free = (colored == pred).then(|| scratch.first_zero_from(0) as u32);
+    scratch.clear_prefix(cap);
+    free
 }
 
-/// Asynchronous JP (Alg. 3): rayon fork–join with one task per released
-/// vertex. Returns the coloring.
+/// JP as one ordered sweep over `seq`, the vertices in descending ρ, with
+/// `pred[v]` = the number of predecessors of `v` in `Gρ`. Returns the
+/// coloring.
+///
+/// Each round colors a window of pending vertices, in `seq` order, in
+/// parallel; a vertex whose predecessors are not all colored yet stays
+/// pending, in order, and the window refills from `seq`. All vertices
+/// before the first pending one are colored, so that vertex is always
+/// ready and every round makes progress; bad counts that would stall the
+/// sweep panic instead. A window holding all of `seq` colors every vertex
+/// at depth `r` of `Gρ` by round `r`, which is Hasenplaugh et al.'s `|P|`
+/// bound on the rounds.
+pub fn jp_color_in_order<G: GraphView>(g: &G, seq: &[u32], pred: &[u32]) -> Vec<u32> {
+    assert_eq!(seq.len(), g.n(), "seq must list every vertex once");
+    assert_eq!(pred.len(), g.n());
+    let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
+    let width = rayon::current_num_threads();
+    let cap = if width <= 1 {
+        seq.len()
+    } else {
+        WINDOW_PER_STRAND * width
+    };
+    let dist = prefetch_dist(g);
+    let mut window: Vec<u32> = Vec::with_capacity(cap.min(seq.len()));
+    let mut next = 0usize;
+    loop {
+        let take = (cap - window.len()).min(seq.len() - next);
+        window.extend_from_slice(&seq[next..next + take]);
+        next += take;
+        let Some(&first) = window.first() else { break };
+        let _round = pgc_obs::span!("jp.round");
+        let slots = &window[..];
+        (0..slots.len()).into_par_iter().for_each_init(
+            || FixedBitmap::new(0),
+            |scratch, i| {
+                if let Some(&ahead) = slots.get(i + dist) {
+                    g.prefetch_neighbors(ahead);
+                }
+                let v = slots[i];
+                if let Some(c) = first_free_color(g, &colors, v, pred[v as usize], scratch) {
+                    colors[v as usize].store(c, AtOrd::Relaxed);
+                }
+            },
+        );
+        assert_ne!(
+            colors[first as usize].load(AtOrd::Relaxed),
+            UNCOLORED,
+            "vertex {first} is first in line but not ready: bad predecessor counts"
+        );
+        window.retain(|&v| colors[v as usize].load(AtOrd::Relaxed) == UNCOLORED);
+    }
+    colors.into_iter().map(|c| c.into_inner()).collect()
+}
+
+/// JP over an arbitrary total priority ρ: [`jp_color_with_counts`] with
+/// the predecessor counts computed here.
 pub fn jp_color<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
     let counts = predecessor_counts(g, rho);
     jp_color_with_counts(g, rho, &counts)
@@ -165,62 +260,12 @@ pub fn jp_color<G: GraphView>(g: &G, rho: &[u64]) -> Vec<u32> {
 
 /// [`jp_color`] with precomputed predecessor counts — the §V-C fused-rank
 /// fast path: ADG already produced `count[v]` during its UPDATE pass, so
-/// JP's Part 1 (Alg. 3 lines 6–11) is skipped.
+/// JP's Part 1 (Alg. 3 lines 6–11) is skipped. Sorts the vertices by ρ and
+/// runs [`jp_color_in_order`].
 pub fn jp_color_with_counts<G: GraphView>(g: &G, rho: &[u64], counts: &[u32]) -> Vec<u32> {
     assert_eq!(rho.len(), g.n());
     debug_assert_eq!(counts, &predecessor_counts(g, rho)[..], "bad fused counts");
-    let counters = JoinCounters::from_values(counts);
-    let colors: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(UNCOLORED)).collect();
-    let roots = sources(counts);
-
-    struct Ctx<'a, G: GraphView> {
-        g: &'a G,
-        rho: &'a [u64],
-        colors: &'a [AtomicU32],
-        counters: &'a JoinCounters,
-    }
-
-    fn run_vertex<'s, G: GraphView>(ctx: &'s Ctx<'s, G>, v: u32, scope: &rayon::Scope<'s>) {
-        let mut scratch = FixedBitmap::new(0);
-        // JPColor: color v, then release successors whose last predecessor
-        // this was. Chains of single successors are followed inline to
-        // avoid task-spawn overhead on long paths.
-        let mut current = v;
-        loop {
-            let c = get_color(ctx.g, ctx.rho, ctx.colors, current, &mut scratch);
-            ctx.colors[current as usize].store(c, AtOrd::Relaxed);
-            let rv = ctx.rho[current as usize];
-            let mut next: Option<u32> = None;
-            for u in ctx.g.neighbors(current) {
-                if ctx.rho[u as usize] < rv && ctx.counters.join(u as usize) {
-                    if next.is_none() {
-                        next = Some(u);
-                    } else {
-                        scope.spawn(move |s| run_vertex(ctx, u, s));
-                    }
-                }
-            }
-            match next {
-                Some(u) => current = u,
-                None => break,
-            }
-        }
-    }
-
-    let ctx = Ctx {
-        g,
-        rho,
-        colors: &colors,
-        counters: &counters,
-    };
-    rayon::scope(|s| {
-        for &v in &roots {
-            let ctx = &ctx;
-            s.spawn(move |s| run_vertex(ctx, v, s));
-        }
-    });
-
-    colors.into_iter().map(|c| c.into_inner()).collect()
+    jp_color_in_order(g, &by_descending_priority(rho), counts)
 }
 
 /// Level-synchronous JP. Returns `(colors, rounds)`; `rounds` equals the
@@ -286,7 +331,8 @@ pub fn jp_color_levels_sharded<G: GraphView>(
                     g.prefetch_neighbors(ahead as u32);
                 }
                 let v = slots[i] as u32;
-                let c = get_color(g, rho, &colors, v, scratch);
+                let c = first_free_color(g, &colors, v, counts[v as usize], scratch)
+                    .expect("a level-round vertex has all its predecessors colored");
                 colors[v as usize].store(c, AtOrd::Relaxed);
             },
         );
@@ -446,6 +492,36 @@ mod tests {
         let counts = predecessor_counts(&g, &rho);
         let total: u64 = counts.iter().map(|&c| c as u64).sum();
         assert_eq!(total, g.m() as u64, "each edge has exactly one direction");
+    }
+
+    #[test]
+    fn sweep_equals_greedy_across_window_refills() {
+        // n well above the window at width 2 and 4, so rounds retain
+        // blocked vertices and refill behind them.
+        let g = generate(
+            &GraphSpec::BarabasiAlbert {
+                n: 30_000,
+                attach: 6,
+            },
+            8,
+        );
+        let rho = random_rho(g.n(), 4);
+        let oracle = crate::greedy::greedy_by_priority(&g, &rho);
+        for t in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap();
+            assert_eq!(pool.install(|| jp_color(&g, &rho)), oracle, "width {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad predecessor counts")]
+    fn sweep_rejects_counts_that_would_stall() {
+        let g = from_edges(3, &[(0, 1), (1, 2)]);
+        // Vertex 1 has one predecessor, not two: it would never be ready.
+        jp_color_in_order(&g, &[0, 1, 2], &[0, 2, 1]);
     }
 
     #[test]

@@ -207,9 +207,6 @@ pub struct Params {
     pub adg_sort_batches: bool,
     /// ITRB superstep size (vertices per batch); 0 means |U| (plain ITR).
     pub itrb_batch: usize,
-    /// Use the level-synchronous JP engine (deterministic round counting)
-    /// instead of the async task engine.
-    pub jp_level_sync: bool,
 }
 
 impl Default for Params {
@@ -223,7 +220,6 @@ impl Default for Params {
             adg_update: UpdateStyle::Push,
             adg_sort_batches: true,
             itrb_batch: 4096,
-            jp_level_sync: false,
         }
     }
 }
@@ -407,11 +403,12 @@ mod tests {
     #[test]
     fn level_sync_and_async_jp_agree() {
         let g = generate(&GraphSpec::BarabasiAlbert { n: 800, attach: 6 }, 3);
-        let mut p = Params::default();
+        let p = Params::default();
         let a = run(&g, Algorithm::JpAdg, &p);
-        p.jp_level_sync = true;
-        let b = run(&g, Algorithm::JpAdg, &p);
-        assert_eq!(a.colors, b.colors, "JP is schedule-deterministic");
-        assert!(b.rounds() > 0);
+        let kind = Algorithm::JpAdg.ordering_kind(&p).unwrap();
+        let ord = pgc_order::compute(&g, &kind, p.seed);
+        let (b, rounds) = jp::jp_color_levels(&g, &ord.rho);
+        assert_eq!(a.colors, b, "JP is schedule-deterministic");
+        assert!(rounds > 0);
     }
 }

@@ -142,6 +142,13 @@ impl Offsets {
             Offsets::Wide(_) => std::mem::size_of::<usize>(),
         }
     }
+
+    pub(crate) fn mapped_bytes(&self) -> usize {
+        match self {
+            Offsets::Small(o) => o.mapped_bytes(),
+            Offsets::Wide(o) => o.mapped_bytes(),
+        }
+    }
 }
 
 /// Immutable, undirected, simple graph in CSR form with width-adaptive
@@ -493,6 +500,9 @@ impl<W: EdgeWeight> GraphView for CompactCsr<W> {
             neighbor_count: self.neighbors.len(),
             encoded_bytes: 0,
             encoded_mapped_bytes: 0,
+            mapped_bytes: self.offsets.mapped_bytes()
+                + self.neighbors.mapped_bytes()
+                + self.weights.mapped_bytes(),
             aux_bytes: 0,
             weight_bytes: std::mem::size_of_val::<[W]>(&self.weights),
         }

@@ -446,6 +446,9 @@ impl<W: EdgeWeight> GraphView for CompressedCsr<W> {
             } else {
                 0
             },
+            mapped_bytes: self.offsets.mapped_bytes()
+                + self.byte_offsets.mapped_bytes()
+                + self.weights.mapped_bytes(),
             aux_bytes: self.byte_offsets.width() * self.byte_offsets.len()
                 + self.decode_scratch_budget(),
             weight_bytes: std::mem::size_of_val::<[W]>(&self.weights),

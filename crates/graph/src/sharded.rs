@@ -350,6 +350,11 @@ impl<W: EdgeWeight> GraphView for ShardedCsr<W> {
             neighbor_count: self.num_arcs,
             encoded_bytes: 0,
             encoded_mapped_bytes: 0,
+            mapped_bytes: self
+                .shards
+                .iter()
+                .map(|s| s.local.memory_footprint().mapped_bytes)
+                .sum(),
             aux_bytes: aux,
             weight_bytes: self.num_arcs * std::mem::size_of::<W>(),
         }

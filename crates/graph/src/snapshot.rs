@@ -919,7 +919,7 @@ mod tests {
     use super::*;
     use crate::builder::{from_edges, from_weighted_edges};
     use crate::gen::{generate, GraphSpec};
-    use crate::view::WeightedView;
+    use crate::view::{GraphMemory, WeightedView};
 
     fn snap_bytes(g: &CompactCsr) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -1046,6 +1046,35 @@ mod tests {
     }
 
     #[test]
+    fn mapped_open_charges_no_heap_array_bytes() {
+        let g = from_weighted_edges(5, &[(0u32, 1u32, 2.5f64), (1, 2, 4.0), (3, 4, 1.0)]);
+        let dir = std::env::temp_dir().join(format!("pgc-snapm-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.pgcs");
+        write_snapshot(&g, &path).unwrap();
+        let arrays = |fp: &GraphMemory| fp.offset_bytes() + fp.neighbor_bytes() + fp.weight_bytes;
+
+        let owned = GraphView::memory_footprint(&load_weighted_snapshot::<f64>(&path).unwrap());
+        assert!(owned.weight_bytes > 0);
+        assert_eq!(owned.mapped_bytes, 0);
+        assert_eq!(
+            owned.total_bytes(),
+            arrays(&owned),
+            "owned arrays are all heap"
+        );
+
+        let mapped = GraphView::memory_footprint(&MappedSnapshot::<f64>::open(&path).unwrap());
+        assert_eq!(mapped.mapped_bytes, arrays(&mapped));
+        assert_eq!(
+            mapped.total_bytes(),
+            0,
+            "mapped arrays are page cache, not heap"
+        );
+        assert_eq!(mapped.structural_bytes(), owned.structural_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn compressed_snapshot_round_trips() {
         let g = generate(
             &GraphSpec::Rmat {
@@ -1079,9 +1108,13 @@ mod tests {
             "representation length must stay visible for mapped arenas"
         );
         assert_eq!(fp.encoded_len(), c.encoded_bytes());
-        // Traversed representation counts the mapped arena; the heap
-        // charge does not (unit payload ⇒ no weight bytes).
-        assert_eq!(fp.structural_bytes(), fp.total_bytes() + fp.encoded_len());
+        // Traversed representation counts the mapped arena and offset
+        // arrays; the heap charge does not (unit payload ⇒ no weight
+        // bytes).
+        assert_eq!(
+            fp.structural_bytes(),
+            fp.total_bytes() + fp.encoded_len() + fp.mapped_bytes
+        );
 
         // A raw-array in-place view cannot serve a v2 file.
         assert!(MappedSnapshot::<()>::open(&path).is_err());

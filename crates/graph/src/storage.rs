@@ -217,6 +217,18 @@ impl<T: Pod> Storage<T> {
     }
 }
 
+impl<T> Storage<T> {
+    /// The array's size in bytes when it is served from a mapped file,
+    /// 0 when it is owned — its share of
+    /// [`GraphMemory::mapped_bytes`](crate::GraphMemory::mapped_bytes).
+    pub(crate) fn mapped_bytes(&self) -> usize {
+        match self.owner {
+            Owner::Mapped(_) => std::mem::size_of_val::<[T]>(self),
+            Owner::Vec(_) => 0,
+        }
+    }
+}
+
 impl<T> std::ops::Deref for Storage<T> {
     type Target = [T];
 

@@ -74,6 +74,13 @@ pub struct GraphMemory {
     /// ([`total_bytes`](Self::total_bytes)) charges only
     /// [`encoded_bytes`](Self::encoded_bytes).
     pub encoded_mapped_bytes: usize,
+    /// Bytes of the raw arrays (offsets, neighbors, auxiliary index
+    /// arrays, weights) served zero-copy from an `mmap` — a snapshot
+    /// opened in place. They stay counted in their own fields, so
+    /// [`structural_bytes`](Self::structural_bytes) describes the layout
+    /// whatever backs it; [`total_bytes`](Self::total_bytes) subtracts
+    /// them, as it leaves out [`encoded_mapped_bytes`](Self::encoded_mapped_bytes).
+    pub mapped_bytes: usize,
     /// Bytes of any auxiliary structures (masks, remaps, decode scratch)
     /// a view carries on top of the arrays it borrows.
     pub aux_bytes: usize,
@@ -106,8 +113,9 @@ impl GraphMemory {
     }
 
     /// Offsets + neighbors + heap-owned encoded + auxiliary + weight
-    /// bytes: the process-heap charge. An `mmap`-served arena is
-    /// excluded (page cache, not heap) — see
+    /// bytes: the process-heap charge. Anything `mmap`-served — arena or
+    /// [`mapped_bytes`](Self::mapped_bytes) — is excluded (page cache,
+    /// not heap) — see
     /// [`structural_bytes`](Self::structural_bytes) for the
     /// representation as traversed.
     pub fn total_bytes(&self) -> usize {
@@ -116,6 +124,7 @@ impl GraphMemory {
             + self.encoded_bytes
             + self.aux_bytes
             + self.weight_bytes
+            - self.mapped_bytes
     }
 
     /// Bytes of the structural graph storage actually backing this
@@ -248,6 +257,7 @@ pub trait GraphView: Sync {
             neighbor_count: self.num_arcs(),
             encoded_bytes: 0,
             encoded_mapped_bytes: 0,
+            mapped_bytes: 0,
             aux_bytes: 0,
             weight_bytes: 0,
         }
@@ -447,6 +457,7 @@ mod tests {
             neighbor_count: 20,
             encoded_bytes: 5,
             encoded_mapped_bytes: 7,
+            mapped_bytes: 0,
             aux_bytes: 3,
             weight_bytes: 16,
         };
@@ -457,6 +468,13 @@ mod tests {
         assert_eq!(m.structural_bytes(), 139);
         // …heap accounting does not.
         assert_eq!(m.total_bytes(), 148);
+        // Mapped raw arrays likewise leave the heap charge only.
+        let mapped = GraphMemory {
+            mapped_bytes: 44 + 80,
+            ..m
+        };
+        assert_eq!(mapped.structural_bytes(), 139);
+        assert_eq!(mapped.total_bytes(), 148 - 124);
     }
 
     #[test]

@@ -158,6 +158,15 @@ impl FixedBitmap {
         self.words.fill(0);
     }
 
+    /// Clear bits `[0, len)` — whole words, so bits sharing their last word
+    /// clear too — leaving later words untouched: `O(len / 64)` where
+    /// [`clear_all`](Self::clear_all) pays for the whole capacity.
+    #[inline]
+    pub fn clear_prefix(&mut self, len: usize) {
+        let words = len.div_ceil(WORD_BITS).min(self.words.len());
+        self.words[..words].fill(0);
+    }
+
     /// The smallest index `>= from` whose bit is zero, or `self.len` if all
     /// of `[from, len)` is set.
     pub fn first_zero_from(&self, from: usize) -> usize {
@@ -281,6 +290,21 @@ mod tests {
         assert_eq!(b.count_ones(), 0);
         b.ensure_len(10);
         assert_eq!(b.len(), 100, "never shrinks");
+    }
+
+    #[test]
+    fn fixed_clear_prefix_keeps_later_words() {
+        let mut b = FixedBitmap::new(200);
+        for i in [0, 5, 63, 64, 130, 199] {
+            b.set(i);
+        }
+        b.clear_prefix(6);
+        assert!(!b.get(0) && !b.get(5) && !b.get(63), "first word cleared");
+        assert!(b.get(64) && b.get(130) && b.get(199), "later words kept");
+        b.clear_prefix(65);
+        assert!(!b.get(64) && b.get(130));
+        b.clear_prefix(10_000);
+        assert_eq!(b.count_ones(), 0, "past the end clears everything");
     }
 
     #[test]

@@ -92,12 +92,7 @@ fn session_is_transparent_and_trace_parses() {
         },
         9,
     );
-    // Level-synchronous JP so the per-round span fires (the default
-    // async schedule has no rounds to annotate).
-    let params = Params {
-        jp_level_sync: true,
-        ..Params::default()
-    };
+    let params = Params::default();
     let quiet = run(&g, Algorithm::JpAdg, &params);
 
     pgc::obs::session_begin();
